@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -132,14 +131,6 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("TELEGATE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _parse_inputs(raw: str, n: int) -> tuple[str, int | StateVector]:
     """Returns ("random", count), ("basis", 0) or ("literal", StateVector)."""
     raw = raw.strip()
@@ -172,14 +163,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    workers = _max_workers()
     try:
         if mode == "literal":
-            report = verify_inputs(spec, [detail], max_workers=workers)
+            report = verify_inputs(spec, [detail])
             trace_input = detail
         else:
             count = detail if mode == "random" else 0
-            report = verify_protocol(spec, count, args.seed, max_workers=workers)
+            report = verify_protocol(spec, count, args.seed)
             trace_input = basis_state(args.n, "0" * args.n)
         if args.report_out:
             with open(args.report_out, "w") as fh:
@@ -242,10 +232,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         )
         family = ProtocolFamily(recorded["family"])
         n = int(recorded["n"])
+        spec = ProtocolSpec(family, n, payload)
+        spec.validate()
         input_state = StateVector(n, _pairs_to_amplitudes(recorded["input"]))
         branch = [int(b) for b in recorded["branch"]]
-        spec = ProtocolSpec(family, n, payload)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        if len(branch) != spec.num_measurements or any(b not in (0, 1) for b in branch):
+            raise ValueError(
+                f"branch needs {spec.num_measurements} outcome bits of 0 or 1, got {branch!r}"
+            )
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: cannot load trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -4,7 +4,9 @@ A :class:`Network` owns the joint statevector, a qubit-ownership map, the
 entanglement topology, and a message bus that counts classical bits per
 (sender, recipient) delivery.  Local operations are gated by ownership: a
 party touching a qubit it does not hold raises :class:`LocalityViolation`,
-which is the core safety property of the model.
+which is the core safety property of the model.  A network either runs one
+forced measurement branch or, built with :func:`build_batch`, holds every
+branch of many inputs as rows of one array.
 
 Register layout
 ---------------
@@ -27,21 +29,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ImpossibleBranchError, LocalityViolation, MissingMessage
 from .gates import Gate
 from .statevector import (
+    IMPOSSIBLE_CUTOFF,
     MeasurementBasis,
-    MeasurementRecord,
     StateVector,
-    discard_qubit,
-    apply_gate,
-    permute_qubits,
-    project_measure,
-    tensor,
+    _apply_matrix,
+    _check_targets,
 )
+
+# Largest register (3n - 2 qubits) any network may allocate: 2^22 amplitudes,
+# 64 MiB per input, so n <= 8.
+MAX_REGISTER_QUBITS = 22
+
+_SQRT_HALF = 1 / math.sqrt(2)
 
 
 class Role(Enum):
@@ -91,7 +97,7 @@ class CostLedger:
 class ClassicalMessage:
     sender: int
     recipient: int
-    bit: int
+    bit: int | Unforced
     tag: str
 
 
@@ -109,39 +115,126 @@ def bell_state() -> StateVector:
     return StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
 
 
-class Network:
-    """Mutable protocol-execution context, confined to one branch.
+def register_qubits(n: int) -> int:
+    """Register size of an n-party network: n data qubits plus n-1 Bell pairs."""
+    return 3 * n - 2
 
-    Distinct branches must run on independent copies (see :meth:`copy`);
-    nothing here is shared mutable state.
+
+def check_register_size(n: int) -> None:
+    """Refuse, before anything is allocated, a register over the stated limit."""
+    qubits = register_qubits(n)
+    if qubits > MAX_REGISTER_QUBITS:
+        raise ValueError(
+            f"n={n} needs a {qubits}-qubit register ({16 << qubits} bytes per input); "
+            f"the limit is {MAX_REGISTER_QUBITS} qubits, n <= {(MAX_REGISTER_QUBITS + 2) // 3}"
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Unforced:
+    """A measurement outcome left open: a batched register keeps both values.
+
+    ``index`` counts the unforced measurements before this one.  It names the
+    outcome's bit in the branch part of a row index, most significant first.
+    """
+
+    index: int
+
+    def __bool__(self) -> bool:
+        raise TypeError("an unforced outcome has no single value; use Network.apply_if")
+
+
+def _row_norms2(amps: np.ndarray) -> np.ndarray:
+    flat = amps.view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _measured(amps: np.ndarray, q: int, basis: MeasurementBasis) -> np.ndarray:
+    """The register as (rows, outcome, ...) in the basis qubit ``q`` is measured in."""
+    rows = amps.shape[0]
+    cube = amps.reshape(rows, 1 << q, 2, -1)
+    if basis is MeasurementBasis.COMPUTATIONAL:
+        return cube.transpose(0, 2, 1, 3)
+    zero, one = cube[:, :, 0], cube[:, :, 1]
+    out = np.empty((rows, 2) + zero.shape[1:], dtype=np.complex128)
+    np.add(zero, one, out=out[:, 0])
+    np.subtract(zero, one, out=out[:, 1])
+    out *= _SQRT_HALF
+    return out
+
+
+class Network:
+    """Mutable protocol-execution context.
+
+    The register is one ``(rows, 2^qubits)`` array.  A network from
+    :func:`build_network` has one normalized row and runs one forced branch:
+    operations record a trace and return the state.  A network from
+    :func:`build_batch` starts with one row per input and takes only
+    :class:`Unforced` outcomes: each measurement splits every row in two, so
+    after k measurements row ``input * 2^k + b`` holds branch ``b`` of that
+    input (outcome bits in measurement order, first most significant),
+    unnormalized, its squared norm being the branch probability.  A batch
+    records no trace and its operations return ``None``.  Ownership and inbox
+    checks run once per operation whatever the number of rows.
+
+    Distinct forced branches must run on independent copies (see :meth:`copy`).
     """
 
     def __init__(
         self,
         kind: TopologyKind,
         n: int,
-        state: StateVector,
+        register: np.ndarray,
         labels: list[str],
         owner: dict[str, int],
         data_labels: dict[int, str],
         parties: dict[int, Party],
         topology: Topology,
         ledger: CostLedger,
+        *,
+        batched: bool = False,
         trace: list[dict] | None = None,
-        measurements: list[MeasurementRecord] | None = None,
     ):
         self.kind = kind
         self.n = n
-        self.state = state
+        self._amps = register
         self._labels = labels
         self._owner = owner
         self._data_labels = data_labels
         self.parties = parties
         self.topology = topology
         self.ledger = ledger
+        self.batched = batched
         self.trace = [] if trace is None else trace
-        self.measurements = [] if measurements is None else measurements
+        self._splits = 0
+        self._impossible = np.zeros(register.shape[0], dtype=bool)
         self._refresh()
+
+    # -- register ------------------------------------------------------------
+
+    @property
+    def state(self) -> StateVector | None:
+        """The register of a forced branch; ``None`` for a batch."""
+        if self.batched:
+            return None
+        return StateVector(len(self._labels), self._amps[0])
+
+    @property
+    def register(self) -> np.ndarray:
+        """The ``(rows, 2^qubits)`` amplitude array, read-only."""
+        view = self._amps.view()
+        view.setflags(write=False)
+        return view
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Squared norm of each row: a batch's branch probabilities."""
+        return _row_norms2(self._amps)
+
+    @property
+    def impossible(self) -> np.ndarray:
+        """Rows where some measurement had conditional probability below 1e-12."""
+        return self._impossible.copy()
 
     # -- label/index bookkeeping ---------------------------------------
 
@@ -163,10 +256,7 @@ class Network:
             data = self._data_labels.get(party.id)
             party.data_qubit = self._labels.index(data) if data in self._labels else -1
 
-    # -- local operations ------------------------------------------------
-
-    def local_apply(self, party_id: int, gate: Gate, targets: list[int]) -> StateVector:
-        """Apply a gate to qubits all held by ``party_id``."""
+    def _check_gate(self, party_id: int, gate: Gate, targets: list[int]) -> None:
         party = self.parties[party_id]
         foreign = [t for t in targets if t not in party.held_qubits]
         if foreign:
@@ -174,61 +264,123 @@ class Network:
             raise LocalityViolation(
                 f"party {party_id} does not hold qubit(s) {foreign} {names}"
             )
+        _check_targets(gate, targets, len(self._labels))
+
+    # -- local operations ------------------------------------------------
+
+    def local_apply(self, party_id: int, gate: Gate, targets: list[int]) -> StateVector | None:
+        """Apply a gate to qubits all held by ``party_id``."""
+        targets = list(targets)
+        self._check_gate(party_id, gate, targets)
+        self._amps = _apply_matrix(self._amps, len(self._labels), gate.matrix, targets)
+        if self.batched:
+            return None
         labels = [self._labels[t] for t in targets]
-        self.state = apply_gate(self.state, gate, targets)
         self.trace.append(
             {"type": "gate", "party": party_id, "gate": gate.label, "qubits": labels}
         )
         return self.state
 
+    def apply_if(self, party_id: int, gate: Gate, targets: list[int], tags: list[str]) -> None:
+        """Apply a gate iff the XOR of the bits ``party_id`` holds under ``tags`` is 1.
+
+        On a forced branch this is :meth:`local_apply`, called only when the
+        parity is 1.  In a batch the gate acts on the rows whose parity is 1,
+        and ownership is checked whatever the rows.
+        """
+        bits = [self.read_cbit(party_id, tag) for tag in tags]
+        if not self.batched:
+            if sum(bits) % 2:
+                self.local_apply(party_id, gate, targets)
+            return
+        targets = list(targets)
+        self._check_gate(party_id, gate, targets)
+        rows = np.arange(self._amps.shape[0])
+        parity = np.zeros(rows.size, dtype=np.int64)
+        for bit in bits:
+            if isinstance(bit, Unforced):
+                parity ^= (rows >> (self._splits - 1 - bit.index)) & 1
+            else:
+                parity ^= bit
+        fire = parity.astype(bool)
+        self._amps[fire] = _apply_matrix(
+            self._amps[fire], len(self._labels), gate.matrix, targets
+        )
+
     def local_measure(
-        self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int
-    ) -> tuple[float, StateVector]:
-        """Project ``qubit`` onto ``outcome``, then discard it from the register."""
+        self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int | Unforced
+    ) -> tuple[float, StateVector] | None:
+        """Measure ``qubit`` and discard it from the register.
+
+        A forced branch projects onto ``outcome`` and renormalizes, returning
+        the outcome probability and the new state.  A batch takes the
+        :class:`Unforced` outcome next in order and splits every row in two.
+        """
         party = self.parties[party_id]
         if qubit not in party.held_qubits:
             raise LocalityViolation(f"party {party_id} does not hold qubit {qubit}")
         label = self._labels[qubit]
-        probability, post = project_measure(self.state, qubit, basis, outcome)
-        self.trace.append(
-            {
-                "type": "measure",
-                "party": party_id,
-                "qubit": label,
-                "basis": basis.value,
-                "outcome": outcome,
-                "probability": probability,
-            }
-        )
-        self.measurements.append(MeasurementRecord(qubit, basis, outcome, probability))
-        if post is None:
-            raise ImpossibleBranchError(
-                f"outcome {outcome} on qubit {label} has probability {probability:.3e}"
+        if self.batched:
+            if not isinstance(outcome, Unforced) or outcome.index != self._splits:
+                raise ValueError(
+                    f"a batch needs the unforced outcome {self._splits} here, got {outcome!r}"
+                )
+            amps = _measured(self._amps, qubit, basis).reshape(2 * self._amps.shape[0], -1)
+            norms = _row_norms2(amps)
+            parent = np.repeat(norms[0::2] + norms[1::2], 2)
+            self._impossible = np.repeat(self._impossible, 2) | (
+                norms < IMPOSSIBLE_CUTOFF * parent
             )
-        self.state = discard_qubit(post, qubit)
+            self._splits += 1
+        else:
+            if outcome not in (0, 1):
+                raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+            amps = _measured(self._amps, qubit, basis)[:, outcome].reshape(1, -1)
+            probability = float(_row_norms2(amps)[0])
+            self.trace.append(
+                {
+                    "type": "measure",
+                    "party": party_id,
+                    "qubit": label,
+                    "basis": basis.value,
+                    "outcome": outcome,
+                    "probability": probability,
+                }
+            )
+            if probability < IMPOSSIBLE_CUTOFF:
+                raise ImpossibleBranchError(
+                    f"outcome {outcome} on qubit {label} has probability {probability:.3e}"
+                )
+            amps = amps / math.sqrt(probability)
+        self._amps = amps
         del self._labels[qubit]
         del self._owner[label]
         self._refresh()
-        return probability, self.state
+        return None if self.batched else (probability, self.state)
 
     # -- classical bus ----------------------------------------------------
 
-    def send_cbit(self, sender: int, recipient: int, bit: int, tag: str) -> None:
+    def send_cbit(self, sender: int, recipient: int, bit: int | Unforced, tag: str) -> None:
         """Deliver one classical bit; each delivery costs one cbit."""
         if sender == recipient:
             raise ValueError(f"party {sender} cannot send a cbit to itself")
         if sender not in self.parties or recipient not in self.parties:
             raise ValueError(f"unknown party in send {sender} -> {recipient}")
-        bit = int(bit)
-        if bit not in (0, 1):
-            raise ValueError(f"cbit must be 0 or 1, got {bit!r}")
+        if isinstance(bit, Unforced):
+            if bit.index >= self._splits:
+                raise ValueError(f"unforced outcome {bit.index} has not been measured")
+        else:
+            bit = int(bit)
+            if bit not in (0, 1):
+                raise ValueError(f"cbit must be 0 or 1, got {bit!r}")
         self.parties[recipient].inbox.append(ClassicalMessage(sender, recipient, bit, tag))
         self.ledger.cbits += 1
-        self.trace.append(
-            {"type": "message", "sender": sender, "recipient": recipient, "bit": bit, "tag": tag}
-        )
+        if not self.batched:
+            self.trace.append(
+                {"type": "message", "sender": sender, "recipient": recipient, "bit": bit, "tag": tag}
+            )
 
-    def read_cbit(self, party_id: int, tag: str) -> int:
+    def read_cbit(self, party_id: int, tag: str) -> int | Unforced:
         """Read (without consuming) the bit delivered to ``party_id`` under ``tag``."""
         for msg in self.parties[party_id].inbox:
             if msg.tag == tag:
@@ -237,27 +389,27 @@ class Network:
 
     # -- misc --------------------------------------------------------------
 
-    def measurement_probabilities(self) -> list[float]:
-        return [rec.probability for rec in self.measurements]
-
     def copy(self) -> "Network":
         parties = {
             pid: Party(p.id, p.role, p.data_qubit, set(p.held_qubits), list(p.inbox))
             for pid, p in self.parties.items()
         }
-        return Network(
+        other = Network(
             self.kind,
             self.n,
-            self.state,  # immutable, safe to share
+            self._amps.copy(),
             list(self._labels),
             dict(self._owner),
             dict(self._data_labels),
             parties,
             self.topology,
             self.ledger.copy(),
-            list(self.trace),
-            list(self.measurements),
+            batched=self.batched,
+            trace=list(self.trace),
         )
+        other._splits = self._splits
+        other._impossible = self._impossible.copy()
+        return other
 
 
 def _parallel_layout(n: int) -> list[str]:
@@ -283,20 +435,32 @@ def build_network(
     """Distribute n-1 Bell pairs around the n-qubit input state.
 
     ``input_state`` holds the data qubits in party order (qubit i-1 belongs
-    to party i).  The returned network's register follows the layout
-    documented in the module docstring, and its ledger already accounts for
-    the n-1 distributed ebits.
+    to party i).  The returned network runs one forced branch; its register
+    follows the layout documented in the module docstring, and its ledger
+    already accounts for the n-1 distributed ebits.
     """
+    net = _build(kind, n, [input_state], batched=False)
+    return net, net.state
+
+
+def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
+    """Like :func:`build_network`, with one register row per input.
+
+    Every measurement on the result must leave its outcome :class:`Unforced`,
+    so one run of a protocol covers every branch of every input.
+    """
+    return _build(kind, n, inputs, batched=True)
+
+
+def _build(kind: TopologyKind, n: int, inputs: Sequence[StateVector], batched: bool) -> Network:
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
-    if input_state.num_qubits != n:
-        raise ValueError(
-            f"input state has {input_state.num_qubits} qubits, expected {n}"
-        )
-
-    combined = input_state
-    for _ in range(n - 1):
-        combined = tensor(combined, bell_state())
+    check_register_size(n)
+    for state in inputs:
+        if state.num_qubits != n:
+            raise ValueError(f"input state has {state.num_qubits} qubits, expected {n}")
+    if not inputs:
+        raise ValueError("need at least one input state")
 
     if kind is TopologyKind.PARALLEL:
         layout = _parallel_layout(n)
@@ -305,12 +469,18 @@ def build_network(
         layout = _series_layout(n)
         pair_labels = [(f"f{i}", f"r{i + 1}") for i in range(1, n)]
 
+    rows = len(inputs)
+    combined = np.stack([state.amplitudes for state in inputs])
+    bell = bell_state().amplitudes
+    for _ in range(n - 1):
+        combined = (combined[:, :, None] * bell).reshape(rows, -1)
     tensor_order = [f"d{i}" for i in range(1, n + 1)]
     for a, b in pair_labels:
         tensor_order += [a, b]
+    source = {lbl: axis for axis, lbl in enumerate(tensor_order, start=1)}
+    cube = combined.reshape((rows,) + (2,) * len(layout))
+    register = cube.transpose([0] + [source[lbl] for lbl in layout]).reshape(rows, -1)
     position = {lbl: pos for pos, lbl in enumerate(layout)}
-    perm = [position[lbl] for lbl in tensor_order]
-    state = permute_qubits(combined, perm)
 
     owner: dict[str, int] = {}
     for i in range(1, n + 1):
@@ -336,16 +506,15 @@ def build_network(
         for pid in range(1, n + 1)
     }
     data_labels = {pid: f"d{pid}" for pid in range(1, n + 1)}
-    topology = Topology(kind, n, edges)
-    net = Network(
+    return Network(
         kind,
         n,
-        state,
+        register,
         list(layout),
         owner,
         data_labels,
         parties,
-        topology,
+        Topology(kind, n, edges),
         CostLedger(ebits=n - 1, cbits=0),
+        batched=batched,
     )
-    return net, net.state

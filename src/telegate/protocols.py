@@ -5,7 +5,9 @@ strict LOCC discipline: every gate and measurement goes through the network's
 ownership checks, every conditional correction reads only bits previously
 delivered to that party, and the final state is returned on the data register
 (party order).  Branch outcomes are supplied up front so that the module
-above can enumerate all of them exhaustively.
+above can enumerate all of them exhaustively; with no branch given, every
+outcome is left :class:`~telegate.network.Unforced` and one run on a batched
+network covers all branches.
 
 Families
 --------
@@ -29,7 +31,7 @@ from typing import Sequence
 from .errors import InvolutionRequired, TopologyMismatch
 from .gates import Gate, controlled, pauli_x, pauli_z
 from .gates import validate as validate_gate
-from .network import Network, TopologyKind
+from .network import Network, TopologyKind, Unforced, check_register_size
 from .statevector import MeasurementBasis, StateVector, apply_gate
 
 _X = pauli_x()
@@ -69,6 +71,7 @@ class ProtocolSpec:
     def validate(self, *, enforce_involution: bool = True) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 parties, got n={self.n}")
+        check_register_size(self.n)
         if self.payload.arity != 1:
             raise ValueError("payload must be a single-qubit gate")
         flags = validate_gate(self.payload)
@@ -131,8 +134,10 @@ def _check_payload(payload: Gate) -> None:
 
 
 def _branch_bits(
-    net: Network, branch: Sequence[int], schedule: list[tuple[int, str, MeasurementBasis]]
-) -> dict[str, int]:
+    branch: Sequence[int] | None, schedule: list[tuple[int, str, MeasurementBasis]]
+) -> dict[str, int | Unforced]:
+    if branch is None:
+        return {label: Unforced(k) for k, (_, label, _) in enumerate(schedule)}
     branch = list(branch)
     if len(branch) != len(schedule):
         raise ValueError(f"branch needs {len(schedule)} outcome bits, got {len(branch)}")
@@ -142,8 +147,8 @@ def _branch_bits(
 
 
 def run_parallel_simultaneous_cu(
-    net: Network, payload: Gate, branch: Sequence[int]
-) -> StateVector:
+    net: Network, payload: Gate, branch: Sequence[int] | None
+) -> StateVector | None:
     """Simultaneous controlled-U from n-1 control parties to the target.
 
     Each control party CNOTs its data qubit onto its Bell half, measures the
@@ -156,7 +161,7 @@ def run_parallel_simultaneous_cu(
     _require_topology(net, TopologyKind.PARALLEL)
     _check_payload(payload)
     n = net.n
-    outcomes = _branch_bits(net, branch, _schedule_parallel(n))
+    outcomes = _branch_bits(branch, _schedule_parallel(n))
     cu = controlled(payload, 1)
 
     for i in range(1, n):
@@ -166,8 +171,7 @@ def run_parallel_simultaneous_cu(
         net.local_measure(i, net.qubit_index(f"e{i}"), _COMP, bit)
         net.send_cbit(i, n, bit, f"e{i}")
     for i in range(1, n):
-        if net.read_cbit(n, f"e{i}"):
-            net.local_apply(n, _X, [net.qubit_index(f"t{i}")])
+        net.apply_if(n, _X, [net.qubit_index(f"t{i}")], [f"e{i}"])
     for i in range(1, n):
         net.local_apply(n, cu, [net.qubit_index(f"t{i}"), net.qubit_index(f"d{n}")])
     for i in range(1, n):
@@ -175,18 +179,17 @@ def run_parallel_simultaneous_cu(
         net.local_measure(n, net.qubit_index(f"t{i}"), _HAD, bit)
         net.send_cbit(n, i, bit, f"t{i}")
     for i in range(1, n):
-        if net.read_cbit(i, f"t{i}"):
-            net.local_apply(i, _Z, [net.qubit_index(f"d{i}")])
+        net.apply_if(i, _Z, [net.qubit_index(f"d{i}")], [f"t{i}"])
     return net.state
 
 
 def run_series_simultaneous_ch(
     net: Network,
     payload: Gate,
-    branch: Sequence[int],
+    branch: Sequence[int] | None,
     *,
     enforce_involution: bool = True,
-) -> StateVector:
+) -> StateVector | None:
     """Simultaneous controlled-involution along a path of Bell pairs.
 
     Forward pass: party 1 CNOTs its data qubit onto its forward half,
@@ -212,7 +215,7 @@ def run_series_simultaneous_ch(
             f"payload {payload.label!r} is not an involution"
         )
     n = net.n
-    outcomes = _branch_bits(net, branch, _schedule_series_ch(n))
+    outcomes = _branch_bits(branch, _schedule_series_ch(n))
     cu = controlled(payload, 1)
 
     net.local_apply(1, _CX, [net.qubit_index("d1"), net.qubit_index("f1")])
@@ -220,15 +223,13 @@ def run_series_simultaneous_ch(
     net.local_measure(1, net.qubit_index("f1"), _COMP, bit)
     net.send_cbit(1, 2, bit, "f1")
     for i in range(2, n):
-        if net.read_cbit(i, f"f{i - 1}"):
-            net.local_apply(i, _X, [net.qubit_index(f"r{i}")])
+        net.apply_if(i, _X, [net.qubit_index(f"r{i}")], [f"f{i - 1}"])
         net.local_apply(i, _CX, [net.qubit_index(f"r{i}"), net.qubit_index(f"f{i}")])
         net.local_apply(i, _CX, [net.qubit_index(f"d{i}"), net.qubit_index(f"f{i}")])
         bit = outcomes[f"f{i}"]
         net.local_measure(i, net.qubit_index(f"f{i}"), _COMP, bit)
         net.send_cbit(i, i + 1, bit, f"f{i}")
-    if net.read_cbit(n, f"f{n - 1}"):
-        net.local_apply(n, _X, [net.qubit_index(f"r{n}")])
+    net.apply_if(n, _X, [net.qubit_index(f"r{n}")], [f"f{n - 1}"])
     net.local_apply(n, cu, [net.qubit_index(f"r{n}"), net.qubit_index(f"d{n}")])
 
     for j in range(2, n + 1):
@@ -237,15 +238,14 @@ def run_series_simultaneous_ch(
         for upstream in range(1, j):
             net.send_cbit(j, upstream, bit, f"r{j}")
     for i in range(1, n):
-        parity = 0
-        for j in range(i + 1, n + 1):
-            parity ^= net.read_cbit(i, f"r{j}")
-        if parity:
-            net.local_apply(i, _Z, [net.qubit_index(f"d{i}")])
+        downstream = [f"r{j}" for j in range(i + 1, n + 1)]
+        net.apply_if(i, _Z, [net.qubit_index(f"d{i}")], downstream)
     return net.state
 
 
-def run_series_ncu(net: Network, payload: Gate, branch: Sequence[int]) -> StateVector:
+def run_series_ncu(
+    net: Network, payload: Gate, branch: Sequence[int] | None
+) -> StateVector | None:
     """n-qubit controlled-U (generalized Toffoli) along a path of Bell pairs.
 
     Forward pass as in the involution protocol, except each intermediate
@@ -262,7 +262,7 @@ def run_series_ncu(net: Network, payload: Gate, branch: Sequence[int]) -> StateV
     _require_topology(net, TopologyKind.SERIES)
     _check_payload(payload)
     n = net.n
-    outcomes = _branch_bits(net, branch, _schedule_series_ncu(n))
+    outcomes = _branch_bits(branch, _schedule_series_ncu(n))
     cu = controlled(payload, 1)
 
     net.local_apply(1, _CX, [net.qubit_index("d1"), net.qubit_index("f1")])
@@ -270,8 +270,7 @@ def run_series_ncu(net: Network, payload: Gate, branch: Sequence[int]) -> StateV
     net.local_measure(1, net.qubit_index("f1"), _COMP, bit)
     net.send_cbit(1, 2, bit, "f1")
     for i in range(2, n):
-        if net.read_cbit(i, f"f{i - 1}"):
-            net.local_apply(i, _X, [net.qubit_index(f"r{i}")])
+        net.apply_if(i, _X, [net.qubit_index(f"r{i}")], [f"f{i - 1}"])
         net.local_apply(
             i,
             _CCX,
@@ -280,32 +279,37 @@ def run_series_ncu(net: Network, payload: Gate, branch: Sequence[int]) -> StateV
         bit = outcomes[f"f{i}"]
         net.local_measure(i, net.qubit_index(f"f{i}"), _COMP, bit)
         net.send_cbit(i, i + 1, bit, f"f{i}")
-    if net.read_cbit(n, f"f{n - 1}"):
-        net.local_apply(n, _X, [net.qubit_index(f"r{n}")])
+    net.apply_if(n, _X, [net.qubit_index(f"r{n}")], [f"f{n - 1}"])
     net.local_apply(n, cu, [net.qubit_index(f"r{n}"), net.qubit_index(f"d{n}")])
 
     bit = outcomes[f"r{n}"]
     net.local_measure(n, net.qubit_index(f"r{n}"), _HAD, bit)
     net.send_cbit(n, n - 1, bit, f"r{n}")
     for i in range(n - 1, 1, -1):
-        if net.read_cbit(i, f"r{i + 1}"):
-            net.local_apply(i, _CZ, [net.qubit_index(f"r{i}"), net.qubit_index(f"d{i}")])
+        net.apply_if(
+            i, _CZ, [net.qubit_index(f"r{i}"), net.qubit_index(f"d{i}")], [f"r{i + 1}"]
+        )
         bit = outcomes[f"r{i}"]
         net.local_measure(i, net.qubit_index(f"r{i}"), _HAD, bit)
         net.send_cbit(i, i - 1, bit, f"r{i}")
-    if net.read_cbit(1, "r2"):
-        net.local_apply(1, _Z, [net.qubit_index("d1")])
+    net.apply_if(1, _Z, [net.qubit_index("d1")], ["r2"])
     return net.state
 
 
 def run_protocol(
     spec: ProtocolSpec,
     net: Network,
-    branch: Sequence[int],
+    branch: Sequence[int] | None,
     *,
     enforce_involution: bool = True,
-) -> StateVector:
-    """Dispatch one branch execution for the given protocol spec."""
+) -> StateVector | None:
+    """Dispatch one execution for the given protocol spec.
+
+    With a branch, the network runs that forced branch and its final state is
+    returned.  With ``branch=None`` every outcome is left unforced: the network
+    must be a batch (see :func:`~telegate.network.build_batch`), which then
+    holds every branch of every input, and ``None`` is returned.
+    """
     if spec.family is ProtocolFamily.PARALLEL_SIMULTANEOUS_CU:
         return run_parallel_simultaneous_cu(net, spec.payload, branch)
     if spec.family is ProtocolFamily.SERIES_SIMULTANEOUS_CH:

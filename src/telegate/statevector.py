@@ -32,22 +32,6 @@ class MeasurementBasis(Enum):
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class MeasurementRecord:
-    """One projective measurement: which qubit, which basis, what happened.
-
-    In the Hadamard basis outcome 0 encodes |+> and outcome 1 encodes |->,
-    so "apply a phase fix iff the outcome was minus" reads as "iff bit = 1".
-    ``probability`` is the squared norm of the projected state before
-    renormalization.
-    """
-
-    qubit: int
-    basis: MeasurementBasis
-    outcome: int
-    probability: float
-
-
-@dataclass(frozen=True, eq=False, slots=True)
 class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
@@ -107,26 +91,33 @@ def permute_qubits(s: StateVector, perm: Sequence[int]) -> StateVector:
 def _apply_matrix(
     amps: np.ndarray, num_qubits: int, matrix: np.ndarray, targets: Sequence[int]
 ) -> np.ndarray:
-    """Embed ``matrix`` on ``targets`` (identity elsewhere) and apply it."""
+    """Embed ``matrix`` on ``targets`` (identity elsewhere) and apply it.
+
+    ``amps`` is one amplitude vector, or a ``(rows, 2^num_qubits)`` array
+    whose every row is acted on alike.
+    """
     k = len(targets)
-    order = tuple(targets) + tuple(q for q in range(num_qubits) if q not in set(targets))
-    cube = amps.reshape((2,) * num_qubits).transpose(order)
-    out = matrix @ cube.reshape(1 << k, -1)
-    inverse = [0] * num_qubits
-    for position, axis in enumerate(order):
-        inverse[axis] = position
-    return out.reshape((2,) * num_qubits).transpose(inverse).reshape(-1)
+    lead = amps.ndim - 1
+    axes = [lead + t for t in targets]
+    cube = amps.reshape(amps.shape[:lead] + (2,) * num_qubits)
+    front = np.moveaxis(cube, axes, range(k))
+    out = matrix @ front.reshape(1 << k, -1)
+    return np.moveaxis(out.reshape(front.shape), range(k), axes).reshape(amps.shape)
+
+
+def _check_targets(g: Gate, targets: Sequence[int], num_qubits: int) -> None:
+    if g.arity != len(targets):
+        raise ValueError(f"gate {g.label!r} has arity {g.arity}, got {len(targets)} targets")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate target in {list(targets)!r}")
+    if any(t < 0 or t >= num_qubits for t in targets):
+        raise ValueError(f"target out of range in {list(targets)!r}")
 
 
 def apply_gate(s: StateVector, g: Gate, targets: Sequence[int]) -> StateVector:
     """Apply ``g`` to the ordered ``targets`` (control qubits listed first)."""
     targets = list(targets)
-    if g.arity != len(targets):
-        raise ValueError(f"gate {g.label!r} has arity {g.arity}, got {len(targets)} targets")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target in {targets!r}")
-    if any(t < 0 or t >= s.num_qubits for t in targets):
-        raise ValueError(f"target out of range in {targets!r}")
+    _check_targets(g, targets, s.num_qubits)
     return StateVector(s.num_qubits, _apply_matrix(s.amplitudes, s.num_qubits, g.matrix, targets))
 
 

@@ -1,21 +1,26 @@
 """Exhaustive branch enumeration and cost-formula checking.
 
 Every protocol claim is decided, not sampled: all 2^(2(n-1)) measurement
-branches are forced one by one, each final state is compared against the
+branches of every input are forced, each final state is compared against the
 ideal-effect oracle, branch probabilities are accumulated, and the ledger is
 matched against the closed-form ebit/cbit costs with integer exactness.
+
+The schedule, gates and messages of every protocol are the same on every
+branch, so branches are not replayed one by one: inputs are stacked as rows
+of one batched network and each measurement splits every row in two (see
+:class:`~telegate.network.Network`).  One run of the protocol then leaves
+one row per (input, branch), and every cbit is sent on every branch, so the
+run's one ledger is every branch's ledger.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpossibleBranchError
-from .network import CostLedger, build_network
+from .network import CostLedger, build_batch, register_qubits
 from .protocols import (
     ProtocolFamily,
     ProtocolSpec,
@@ -23,10 +28,14 @@ from .protocols import (
     run_protocol,
     topology_for,
 )
-from .statevector import StateVector, basis_state, fidelity_up_to_phase, random_state
+from .statevector import StateVector, basis_state, random_state
 
 FIDELITY_ATOL = 1e-10
 PROBABILITY_ATOL = 1e-9
+
+# Amplitudes one pass of verify_inputs works on: inputs are batched until
+# their registers fill it (4 MiB), and an input larger than that runs alone.
+AMPLITUDE_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,15 +49,47 @@ class BranchResult:
     impossible: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class BranchTable(Sequence):
+    """Every branch of one input, kept as arrays in outcome order.
+
+    Indexing builds the :class:`BranchResult`; outcomes run in
+    ``itertools.product((0, 1), repeat=k)`` order.
+    """
+
+    probabilities: np.ndarray
+    fidelities: np.ndarray
+    impossible: np.ndarray
+    ledger: CostLedger
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        k = len(self).bit_length() - 1
+        return BranchResult(
+            tuple((i >> (k - 1 - j)) & 1 for j in range(k)),
+            float(self.probabilities[i]),
+            float(self.fidelities[i]),
+            self.ledger.copy(),
+            bool(self.impossible[i]),
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
+    """Aggregate verdict over many inputs; ``branches`` are the worst input's."""
+
     spec: ProtocolSpec
     trials: int
     min_fidelity: float
     max_probability_deviation: float
     cost_ok: bool
     probability_sums_ok: bool
-    branches: tuple[BranchResult, ...]
+    branches: Sequence[BranchResult]
 
     @property
     def passed(self) -> bool:
@@ -71,40 +112,41 @@ def check_costs(spec: ProtocolSpec, ledger: CostLedger) -> bool:
     return (ledger.ebits, ledger.cbits) == expected_costs(spec.family, spec.n)
 
 
+def _force_all(
+    spec: ProtocolSpec, inputs: Sequence[StateVector], enforce_involution: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, CostLedger]:
+    """Every branch of every input in one run: (inputs, branches) arrays of
+    probability, fidelity and impossibility, and the run's ledger."""
+    net = build_batch(topology_for(spec.family), spec.n, inputs)
+    run_protocol(spec, net, None, enforce_involution=enforce_involution)
+    shape = (len(inputs), 1 << spec.num_measurements)
+    probabilities = net.probabilities.reshape(shape)
+    impossible = net.impossible.reshape(shape)
+    final = net.register.reshape(shape + (-1,))
+    targets = np.stack([oracle_effect(spec, state).amplitudes for state in inputs])
+    overlaps = np.abs(np.einsum("mi,mbi->mb", targets.conj(), final)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fidelities = np.minimum(overlaps / probabilities, 1.0)
+    fidelities[impossible] = 0.0
+    return probabilities, fidelities, impossible, net.ledger
+
+
 def enumerate_branches(
     spec: ProtocolSpec,
     input_state: StateVector,
     *,
     enforce_involution: bool = True,
-    max_workers: int = 1,
-) -> list[BranchResult]:
-    """Force every outcome assignment through the protocol, one branch each.
+) -> BranchTable:
+    """Force every outcome assignment through the protocol.
 
-    Impossible branches (probability below 1e-12) are retained with their
-    flag set rather than raising.  Branches are independent, so they may be
-    fanned out to a thread pool; results come back in outcome order either
-    way.
+    Impossible branches (a measurement with probability below 1e-12) are
+    retained with their flag set and fidelity 0 rather than raising.
     """
     spec.validate(enforce_involution=enforce_involution)
-    base, _ = build_network(topology_for(spec.family), spec.n, input_state)
-    target = oracle_effect(spec, input_state)
-    assignments = list(itertools.product((0, 1), repeat=spec.num_measurements))
-
-    def evaluate(bits: tuple[int, ...]) -> BranchResult:
-        net = base.copy()
-        try:
-            final = run_protocol(spec, net, bits, enforce_involution=enforce_involution)
-        except ImpossibleBranchError:
-            probability = float(np.prod(net.measurement_probabilities()))
-            return BranchResult(bits, probability, 0.0, net.ledger.copy(), impossible=True)
-        probability = float(np.prod(net.measurement_probabilities()))
-        fidelity = fidelity_up_to_phase(final, target)
-        return BranchResult(bits, probability, fidelity, net.ledger.copy())
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, assignments))
-    return [evaluate(bits) for bits in assignments]
+    probabilities, fidelities, impossible, ledger = _force_all(
+        spec, [input_state], enforce_involution
+    )
+    return BranchTable(probabilities[0], fidelities[0], impossible[0], ledger)
 
 
 def _all_basis_states(n: int) -> list[StateVector]:
@@ -117,24 +159,36 @@ def verify_inputs(
     *,
     max_workers: int = 1,
 ) -> VerificationReport:
-    """Enumerate every branch for every input and aggregate the verdict."""
+    """Enumerate every branch for every input and aggregate the verdict.
+
+    ``max_workers`` is accepted for callers of the former thread pool and
+    ignored: one pass covers every branch, so there is no per-branch work
+    to spread over threads.
+    """
+    spec.validate()
+    inputs = list(inputs)
     uniform = 2.0 ** -spec.num_measurements
+    per_pass = max(1, AMPLITUDE_BUDGET >> register_qubits(spec.n))
     min_fidelity = float("inf")
     max_deviation = 0.0
     cost_ok = True
     sums_ok = True
-    worst_branches: tuple[BranchResult, ...] = ()
-    for state in inputs:
-        branches = enumerate_branches(spec, state, max_workers=max_workers)
-        low = min(b.fidelity for b in branches)
-        if low < min_fidelity:
-            min_fidelity = low
-            worst_branches = tuple(branches)
-        max_deviation = max(
-            max_deviation, max(abs(b.probability - uniform) for b in branches)
+    worst: Sequence[BranchResult] = ()
+    for start in range(0, len(inputs), per_pass):
+        probabilities, fidelities, impossible, ledger = _force_all(
+            spec, inputs[start : start + per_pass], True
         )
-        cost_ok = cost_ok and all(check_costs(spec, b.ledger) for b in branches)
-        sums_ok = sums_ok and abs(sum(b.probability for b in branches) - 1.0) <= PROBABILITY_ATOL
+        lows = fidelities.min(axis=1)
+        i = int(np.argmin(lows))
+        if lows[i] < min_fidelity:
+            min_fidelity = float(lows[i])
+            worst = BranchTable(
+                probabilities[i].copy(), fidelities[i].copy(), impossible[i].copy(), ledger
+            )
+        max_deviation = max(max_deviation, float(np.abs(probabilities - uniform).max()))
+        cost_ok = cost_ok and check_costs(spec, ledger)
+        sums = np.abs(probabilities.sum(axis=1) - 1.0)
+        sums_ok = sums_ok and bool((sums <= PROBABILITY_ATOL).all())
     return VerificationReport(
         spec=spec,
         trials=len(inputs),
@@ -142,7 +196,7 @@ def verify_inputs(
         max_probability_deviation=max_deviation,
         cost_ok=cost_ok,
         probability_sums_ok=sums_ok,
-        branches=worst_branches,
+        branches=worst,
     )
 
 
@@ -150,15 +204,13 @@ def verify_protocol(
     spec: ProtocolSpec,
     num_random_inputs: int = 20,
     seed: int | None = 0,
-    *,
-    max_workers: int = 1,
 ) -> VerificationReport:
     """Run the full sweep: every computational basis input plus random states."""
     spec.validate()
     rng = np.random.default_rng(seed)
     inputs = _all_basis_states(spec.n)
     inputs += [random_state(spec.n, rng) for _ in range(num_random_inputs)]
-    return verify_inputs(spec, inputs, max_workers=max_workers)
+    return verify_inputs(spec, inputs)
 
 
 def brute_force_oracle(spec: ProtocolSpec, input_state: StateVector) -> StateVector:

@@ -7,10 +7,8 @@ cost formulas exact integer equality.
 """
 
 import itertools
-import os
 
 import numpy as np
-import pytest
 
 from telegate import (
     LocalityViolation,
@@ -123,16 +121,12 @@ def test_criterion_2_parallel_costs_and_determinism_n2_to_5():
     )
 
 
-@pytest.mark.skipif(
-    os.environ.get("TELEGATE_ACCEPT_N6") != "1",
-    reason="n=6 sweep is optional; set TELEGATE_ACCEPT_N6=1 to run (~1 minute)",
-)
-def test_criterion_2_optional_parallel_n6():
+def test_criterion_2_parallel_n6():
     worst, costs_ok, counts_ok = _check_family_across_sizes(
         PARALLEL, [6], lambda n: random_unitary(n)
     )
     ok = worst >= 1 - FIDELITY_ATOL and costs_ok and counts_ok
-    _verdict(2, ok, f"parallel n=6 (optional): 1024 branches, min fidelity {worst:.15f}")
+    _verdict(2, ok, f"parallel n=6: 1024 branches, min fidelity {worst:.15f}")
 
 
 def test_criterion_3_series_ch_basis_rows_for_many_involutions():

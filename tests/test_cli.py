@@ -177,11 +177,49 @@ def test_traces_are_deterministic_across_invocations(tmp_path):
     assert first["final_state_hash"] == second["final_state_hash"]
 
 
-def test_threads_env_var_is_honored(monkeypatch, tmp_path):
-    monkeypatch.setenv("TELEGATE_THREADS", "4")
-    report_path = tmp_path / "report.json"
+
+def _recorded_trace(tmp_path):
+    trace_path = tmp_path / "trace.json"
     assert main([
-        "run", "--family", "parallel-cu", "--n", "3", "--payload", "randU:1",
-        "--inputs", "random:2", "--report-out", str(report_path),
+        "run", "--family", "parallel-cu", "--n", "3", "--payload", "randU:5",
+        "--inputs", "basis-sweep", "--trace-out", str(trace_path),
     ]) == 0
-    assert json.loads(report_path.read_text())["passed"]
+    return trace_path, json.loads(trace_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda t: t.update(branch=t["branch"][:2]), "outcome bits"),
+        (lambda t: t["payload"].update(matrix=[[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]), "not unitary"),
+    ],
+    ids=["truncated-branch", "non-unitary-payload"],
+)
+def test_malformed_trace_exits_2(tmp_path, capsys, corrupt, message):
+    trace_path, trace = _recorded_trace(tmp_path)
+    capsys.readouterr()
+    corrupt(trace)
+    trace_path.write_text(json.dumps(trace))
+    assert main(["replay", str(trace_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an over-limit run reached verification")
+
+
+def test_register_limit_exits_2_before_allocating(monkeypatch, tmp_path, capsys):
+    # n=20 needs a 58-qubit register, 2^58 amplitudes per input
+    trace_path, trace = _recorded_trace(tmp_path)
+    trace["n"] = 20
+    trace_path.write_text(json.dumps(trace))
+    capsys.readouterr()
+    monkeypatch.setattr("telegate.cli.verify_protocol", _must_not_run)
+    monkeypatch.setattr("telegate.cli.verify_inputs", _must_not_run)
+    monkeypatch.setattr("telegate.cli.record_trace", _must_not_run)
+
+    assert main(["run", "--family", "series-ch", "--n", "20", "--inputs", "basis-sweep"]) == 2
+    assert "limit is 22 qubits" in capsys.readouterr().err
+    assert main(["replay", str(trace_path)]) == 2
+    assert "limit is 22 qubits" in capsys.readouterr().err

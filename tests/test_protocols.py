@@ -130,6 +130,12 @@ class TestSpecValidation:
         ProtocolSpec(SERIES_CH, 3, hadamard()).validate()
         ProtocolSpec(SERIES_CH, 3, random_involution(5)).validate()
 
+    def test_register_limit(self):
+        # 3n - 2 <= 22 register qubits: n = 8 is the largest network
+        ProtocolSpec(PARALLEL, 8, random_unitary(0)).validate()
+        with pytest.raises(ValueError, match="limit is 22 qubits"):
+            ProtocolSpec(PARALLEL, 9, random_unitary(0)).validate()
+
 
 def _drive_parallel_to_target_ops(d, payload, m_a, m_b):
     net, _ = build_network(TopologyKind.PARALLEL, 3, StateVector(3, d))

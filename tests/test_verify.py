@@ -68,16 +68,6 @@ class TestEnumerateBranches:
         for b in branches:
             assert (b.ledger.ebits, b.ledger.cbits) == (2, 5)
 
-    def test_thread_pool_matches_serial(self):
-        spec = ProtocolSpec(SERIES_NCU, 3, random_unitary(5))
-        psi = random_state(3, 5)
-        serial = enumerate_branches(spec, psi)
-        pooled = enumerate_branches(spec, psi, max_workers=4)
-        assert [b.outcomes for b in serial] == [b.outcomes for b in pooled]
-        for a, b in zip(serial, pooled):
-            assert a.probability == b.probability
-            assert a.fidelity == b.fidelity
-
     def test_involution_precondition_enforced(self):
         spec = ProtocolSpec(SERIES_CH, 3, random_unitary(6))
         with pytest.raises(InvolutionRequired):
