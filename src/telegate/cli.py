@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvolutionRequired, LocalityViolation, TelegateError
 from .gates import Gate, parse_gate_spec
-from .network import build_network
+from .network import build_network, check_register_size
 from .protocols import ProtocolFamily, ProtocolSpec, run_protocol, topology_for
 from .statevector import StateVector, basis_state
 from .verify import (
@@ -52,6 +52,11 @@ def state_hash(state: StateVector) -> str:
     rounded = [[_round12(a.real), _round12(a.imag)] for a in state.amplitudes]
     payload = json.dumps(rounded, separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; a float such as 0.5 or a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _pairs_to_amplitudes(pairs: list) -> np.ndarray:
@@ -181,6 +186,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except LocalityViolation as exc:
         print(f"internal error: LocalityViolation: {exc}", file=sys.stderr)
         return EXIT_LOCALITY_VIOLATION
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     ebits, cbits = expected_costs(family, args.n)
     print(f"family={family.value} n={args.n} payload={payload.label} trials={report.trials}")
@@ -201,6 +209,7 @@ def cmd_costs(args: argparse.Namespace) -> int:
         family = ProtocolFamily(args.family)
         if args.n_max < 2:
             raise ValueError("--n-max must be >= 2")
+        check_register_size(args.n_max)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -225,39 +234,53 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         with open(args.trace) as fh:
             recorded = json.load(fh)
+        if not isinstance(recorded, dict):
+            raise ValueError("a trace must be a JSON object")
         if recorded.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported trace schema {recorded.get('schema')!r}")
-        payload = _gate_from_pairs(
-            recorded["payload"]["label"], recorded["payload"]["matrix"]
-        )
+        label = recorded["payload"]["label"]
+        if not isinstance(label, str):
+            raise ValueError(f"payload label must be a string, got {label!r}")
+        payload = _gate_from_pairs(label, recorded["payload"]["matrix"])
         family = ProtocolFamily(recorded["family"])
-        n = int(recorded["n"])
+        n = recorded["n"]
+        if not _is_int(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
         spec = ProtocolSpec(family, n, payload)
         spec.validate()
         input_state = StateVector(n, _pairs_to_amplitudes(recorded["input"]))
-        branch = [int(b) for b in recorded["branch"]]
-        if len(branch) != spec.num_measurements or any(b not in (0, 1) for b in branch):
+        branch = recorded["branch"]
+        if (
+            not isinstance(branch, list)
+            or len(branch) != spec.num_measurements
+            or any(not _is_int(b) or b not in (0, 1) for b in branch)
+        ):
             raise ValueError(
                 f"branch needs {spec.num_measurements} outcome bits of 0 or 1, got {branch!r}"
             )
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        events = recorded["events"]
+        if not isinstance(events, list) or not all(isinstance(ev, dict) for ev in events):
+            raise ValueError("events must be a list of objects")
+        expected_events = _normalized_events(events)
+        expected_hash = recorded["final_state_hash"]
+    except (OSError, ValueError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: cannot load trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     replayed = record_trace(spec, input_state, branch)
     divergences = []
-    if _normalized_events(replayed["events"]) != _normalized_events(recorded["events"]):
+    if _normalized_events(replayed["events"]) != expected_events:
         divergences.append("event sequence differs")
-    if replayed["final_state_hash"] != recorded["final_state_hash"]:
+    if replayed["final_state_hash"] != expected_hash:
         divergences.append(
             f"final state hash differs: {replayed['final_state_hash']} "
-            f"vs recorded {recorded['final_state_hash']}"
+            f"vs recorded {expected_hash}"
         )
     if divergences:
         for d in divergences:
             print(f"replay divergence: {d}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    print(f"replay OK: {len(recorded['events'])} events, hash {recorded['final_state_hash']}")
+    print(f"replay OK: {len(events)} events, hash {expected_hash}")
     return EXIT_OK
 
 

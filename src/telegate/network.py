@@ -105,7 +105,6 @@ class ClassicalMessage:
 class Party:
     id: int
     role: Role
-    data_qubit: int = -1
     held_qubits: set[int] = field(default_factory=set)
     inbox: list[ClassicalMessage] = field(default_factory=list)
 
@@ -125,7 +124,7 @@ def check_register_size(n: int) -> None:
     qubits = register_qubits(n)
     if qubits > MAX_REGISTER_QUBITS:
         raise ValueError(
-            f"n={n} needs a {qubits}-qubit register ({16 << qubits} bytes per input); "
+            f"n={n} needs a {qubits}-qubit register (2^{qubits + 4} bytes per input); "
             f"the limit is {MAX_REGISTER_QUBITS} qubits, n <= {(MAX_REGISTER_QUBITS + 2) // 3}"
         )
 
@@ -187,7 +186,6 @@ class Network:
         register: np.ndarray,
         labels: list[str],
         owner: dict[str, int],
-        data_labels: dict[int, str],
         parties: dict[int, Party],
         topology: Topology,
         ledger: CostLedger,
@@ -200,7 +198,6 @@ class Network:
         self._amps = register
         self._labels = labels
         self._owner = owner
-        self._data_labels = data_labels
         self.parties = parties
         self.topology = topology
         self.ledger = ledger
@@ -253,8 +250,6 @@ class Network:
             party.held_qubits = {
                 i for i, lbl in enumerate(self._labels) if self._owner[lbl] == party.id
             }
-            data = self._data_labels.get(party.id)
-            party.data_qubit = self._labels.index(data) if data in self._labels else -1
 
     def _check_gate(self, party_id: int, gate: Gate, targets: list[int]) -> None:
         party = self.parties[party_id]
@@ -391,7 +386,7 @@ class Network:
 
     def copy(self) -> "Network":
         parties = {
-            pid: Party(p.id, p.role, p.data_qubit, set(p.held_qubits), list(p.inbox))
+            pid: Party(p.id, p.role, set(p.held_qubits), list(p.inbox))
             for pid, p in self.parties.items()
         }
         other = Network(
@@ -400,7 +395,6 @@ class Network:
             self._amps.copy(),
             list(self._labels),
             dict(self._owner),
-            dict(self._data_labels),
             parties,
             self.topology,
             self.ledger.copy(),
@@ -505,14 +499,12 @@ def _build(kind: TopologyKind, n: int, inputs: Sequence[StateVector], batched: b
         pid: Party(pid, Role.TARGET if pid == n else Role.CONTROL)
         for pid in range(1, n + 1)
     }
-    data_labels = {pid: f"d{pid}" for pid in range(1, n + 1)}
     return Network(
         kind,
         n,
         register,
         list(layout),
         owner,
-        data_labels,
         parties,
         Topology(kind, n, edges),
         CostLedger(ebits=n - 1, cbits=0),

@@ -1,13 +1,18 @@
 """The three teleportation protocol families and their ideal-effect oracle.
 
-Each ``run_*`` function executes one measurement branch of a protocol under
-strict LOCC discipline: every gate and measurement goes through the network's
-ownership checks, every conditional correction reads only bits previously
-delivered to that party, and the final state is returned on the data register
-(party order).  Branch outcomes are supplied up front so that the module
-above can enumerate all of them exhaustively; with no branch given, every
-outcome is left :class:`~telegate.network.Unforced` and one run on a batched
-network covers all branches.
+Each protocol is one fixed list of operations, the same on every branch,
+built by one function per family: :class:`LocalGate` (a party's gate, applied
+iff the XOR of the named inbox bits is 1 when it names any) and
+:class:`Measure` (a party's measurement, whose outcome is then sent to each
+recipient).  :func:`run_protocol` is the one interpreter.  It walks the list
+under strict LOCC discipline: every gate and measurement goes through the
+network's ownership checks, every correction reads only bits previously
+delivered to that party, and the final state is returned on the data
+register (party order).  Branch outcomes are supplied up front so that the
+module above can enumerate all of them exhaustively; with no branch given,
+every outcome is left :class:`~telegate.network.Unforced` and one run on a
+batched network covers all branches.  :func:`measurement_schedule` reads the
+same list, so the schedule cannot drift from the run.
 
 Families
 --------
@@ -92,58 +97,141 @@ class ProtocolSpec:
         return 2 * (self.n - 1)
 
 
-def _schedule_parallel(n: int) -> list[tuple[int, str, MeasurementBasis]]:
-    forward = [(i, f"e{i}", _COMP) for i in range(1, n)]
-    backward = [(n, f"t{i}", _HAD) for i in range(1, n)]
-    return forward + backward
+@dataclass(frozen=True, slots=True)
+class LocalGate:
+    """``party`` applies ``gate`` to the qubits labelled ``qubits``; with
+    ``tags``, only when the XOR of its inbox bits under those tags is 1."""
+
+    party: int
+    gate: Gate
+    qubits: tuple[str, ...]
+    tags: tuple[str, ...] = ()
 
 
-def _schedule_series_ch(n: int) -> list[tuple[int, str, MeasurementBasis]]:
-    forward = [(i, f"f{i}", _COMP) for i in range(1, n)]
-    backward = [(j, f"r{j}", _HAD) for j in range(2, n + 1)]
-    return forward + backward
+@dataclass(frozen=True, slots=True)
+class Measure:
+    """``party`` measures ``qubit`` in ``basis``, then sends the outcome under
+    the qubit's label to each of ``recipients`` in order."""
+
+    party: int
+    qubit: str
+    basis: MeasurementBasis
+    recipients: tuple[int, ...]
 
 
-def _schedule_series_ncu(n: int) -> list[tuple[int, str, MeasurementBasis]]:
-    forward = [(i, f"f{i}", _COMP) for i in range(1, n)]
-    backward = [(j, f"r{j}", _HAD) for j in range(n, 1, -1)]
-    return forward + backward
+Op = LocalGate | Measure
+
+
+def _parallel_ops(n: int, cu: Gate) -> list[Op]:
+    controls = range(1, n)
+    return [
+        *(LocalGate(i, _CX, (f"d{i}", f"e{i}")) for i in controls),
+        *(Measure(i, f"e{i}", _COMP, (n,)) for i in controls),
+        *(LocalGate(n, _X, (f"t{i}",), (f"e{i}",)) for i in controls),
+        *(LocalGate(n, cu, (f"t{i}", f"d{n}")) for i in controls),
+        *(Measure(n, f"t{i}", _HAD, (i,)) for i in controls),
+        *(LocalGate(i, _Z, (f"d{i}",), (f"t{i}",)) for i in controls),
+    ]
+
+
+def _series_forward(n: int, cu: Gate, relay: Sequence[tuple[Gate, str]]) -> list[Op]:
+    """The forward pass shared by both series families.  Each ``relay`` entry
+    is a gate and the label prefixes of its qubits at intermediate party i."""
+    ops: list[Op] = [LocalGate(1, _CX, ("d1", "f1")), Measure(1, "f1", _COMP, (2,))]
+    for i in range(2, n):
+        ops.append(LocalGate(i, _X, (f"r{i}",), (f"f{i - 1}",)))
+        ops += [LocalGate(i, g, tuple(f"{p}{i}" for p in prefixes)) for g, prefixes in relay]
+        ops.append(Measure(i, f"f{i}", _COMP, (i + 1,)))
+    ops.append(LocalGate(n, _X, (f"r{n}",), (f"f{n - 1}",)))
+    ops.append(LocalGate(n, cu, (f"r{n}", f"d{n}")))
+    return ops
+
+
+def _series_ch_ops(n: int, cu: Gate) -> list[Op]:
+    ops = _series_forward(n, cu, [(_CX, "rf"), (_CX, "df")])
+    ops += [Measure(j, f"r{j}", _HAD, tuple(range(1, j))) for j in range(2, n + 1)]
+    ops += [
+        LocalGate(i, _Z, (f"d{i}",), tuple(f"r{j}" for j in range(i + 1, n + 1)))
+        for i in range(1, n)
+    ]
+    return ops
+
+
+def _series_ncu_ops(n: int, cu: Gate) -> list[Op]:
+    ops = _series_forward(n, cu, [(_CCX, "rdf")])
+    ops.append(Measure(n, f"r{n}", _HAD, (n - 1,)))
+    for i in range(n - 1, 1, -1):
+        ops.append(LocalGate(i, _CZ, (f"r{i}", f"d{i}"), (f"r{i + 1}",)))
+        ops.append(Measure(i, f"r{i}", _HAD, (i - 1,)))
+    ops.append(LocalGate(1, _Z, ("d1",), ("r2",)))
+    return ops
+
+
+_OPS_BY_FAMILY = {
+    ProtocolFamily.PARALLEL_SIMULTANEOUS_CU: _parallel_ops,
+    ProtocolFamily.SERIES_SIMULTANEOUS_CH: _series_ch_ops,
+    ProtocolFamily.SERIES_N_CONTROLLED_U: _series_ncu_ops,
+}
+
+
+def _protocol_ops(spec: ProtocolSpec) -> list[Op]:
+    """The fixed, branch-independent operation list of ``spec``'s protocol."""
+    return _OPS_BY_FAMILY[spec.family](spec.n, controlled(spec.payload, 1))
 
 
 def measurement_schedule(spec: ProtocolSpec) -> list[tuple[int, str, MeasurementBasis]]:
     """The fixed, branch-independent (party, qubit label, basis) sequence."""
-    if spec.family is ProtocolFamily.PARALLEL_SIMULTANEOUS_CU:
-        return _schedule_parallel(spec.n)
-    if spec.family is ProtocolFamily.SERIES_SIMULTANEOUS_CH:
-        return _schedule_series_ch(spec.n)
-    return _schedule_series_ncu(spec.n)
+    ops = _protocol_ops(spec)
+    return [(op.party, op.qubit, op.basis) for op in ops if isinstance(op, Measure)]
 
 
-def _require_topology(net: Network, kind: TopologyKind) -> None:
-    if net.topology.kind is not kind:
+def run_protocol(
+    spec: ProtocolSpec,
+    net: Network,
+    branch: Sequence[int] | None,
+    *,
+    enforce_involution: bool = True,
+) -> StateVector | None:
+    """Interpret the operation list of ``spec`` on ``net``.
+
+    With a branch, the network runs that forced branch and its final state is
+    returned.  With ``branch=None`` every outcome is left unforced: the network
+    must be a batch (see :func:`~telegate.network.build_batch`), which then
+    holds every branch of every input, and ``None`` is returned.
+
+    ``enforce_involution=False`` skips the series-ch payload certificate; it
+    exists so the verification layer can demonstrate that non-involutory
+    payloads break determinism against the simultaneous-gate oracle.
+    """
+    kind = topology_for(spec.family)
+    if net.topology.kind is not kind or net.n != spec.n:
         raise TopologyMismatch(
-            f"protocol needs a {kind.value} network, got {net.topology.kind.value}"
+            f"{spec.family.value} n={spec.n} needs a {kind.value} network of {spec.n} "
+            f"parties, got a {net.topology.kind.value} network of {net.n}"
         )
-
-
-def _check_payload(payload: Gate) -> None:
-    if payload.arity != 1:
-        raise ValueError("payload must be a single-qubit gate")
-    if not validate_gate(payload).unitary:
-        raise ValueError(f"payload {payload.label!r} is not unitary")
-
-
-def _branch_bits(
-    branch: Sequence[int] | None, schedule: list[tuple[int, str, MeasurementBasis]]
-) -> dict[str, int | Unforced]:
+    spec.validate(enforce_involution=enforce_involution)
+    count = spec.num_measurements
     if branch is None:
-        return {label: Unforced(k) for k, (_, label, _) in enumerate(schedule)}
-    branch = list(branch)
-    if len(branch) != len(schedule):
-        raise ValueError(f"branch needs {len(schedule)} outcome bits, got {len(branch)}")
-    if any(b not in (0, 1) for b in branch):
-        raise ValueError(f"branch bits must be 0 or 1: {branch!r}")
-    return {label: bit for (_, label, _), bit in zip(schedule, branch)}
+        branch = [Unforced(k) for k in range(count)]
+    else:
+        branch = list(branch)
+        if len(branch) != count or any(b not in (0, 1) for b in branch):
+            raise ValueError(f"branch needs {count} outcome bits of 0 or 1, got {branch!r}")
+    outcomes = iter(branch)
+
+    for op in _protocol_ops(spec):
+        if isinstance(op, Measure):
+            bit = next(outcomes)
+            net.local_measure(op.party, net.qubit_index(op.qubit), op.basis, bit)
+            for recipient in op.recipients:
+                net.send_cbit(op.party, recipient, bit, op.qubit)
+            continue
+        targets = [net.qubit_index(q) for q in op.qubits]
+        if op.tags:
+            net.apply_if(op.party, op.gate, targets, list(op.tags))
+        else:
+            net.local_apply(op.party, op.gate, targets)
+    return net.state
 
 
 def run_parallel_simultaneous_cu(
@@ -158,29 +246,8 @@ def run_parallel_simultaneous_cu(
     outcome back; a control party applies a phase fix iff its returned bit
     is 1.  Costs n-1 ebits and 2(n-1) cbits.
     """
-    _require_topology(net, TopologyKind.PARALLEL)
-    _check_payload(payload)
-    n = net.n
-    outcomes = _branch_bits(branch, _schedule_parallel(n))
-    cu = controlled(payload, 1)
-
-    for i in range(1, n):
-        net.local_apply(i, _CX, [net.qubit_index(f"d{i}"), net.qubit_index(f"e{i}")])
-    for i in range(1, n):
-        bit = outcomes[f"e{i}"]
-        net.local_measure(i, net.qubit_index(f"e{i}"), _COMP, bit)
-        net.send_cbit(i, n, bit, f"e{i}")
-    for i in range(1, n):
-        net.apply_if(n, _X, [net.qubit_index(f"t{i}")], [f"e{i}"])
-    for i in range(1, n):
-        net.local_apply(n, cu, [net.qubit_index(f"t{i}"), net.qubit_index(f"d{n}")])
-    for i in range(1, n):
-        bit = outcomes[f"t{i}"]
-        net.local_measure(n, net.qubit_index(f"t{i}"), _HAD, bit)
-        net.send_cbit(n, i, bit, f"t{i}")
-    for i in range(1, n):
-        net.apply_if(i, _Z, [net.qubit_index(f"d{i}")], [f"t{i}"])
-    return net.state
+    spec = ProtocolSpec(ProtocolFamily.PARALLEL_SIMULTANEOUS_CU, net.n, payload)
+    return run_protocol(spec, net, branch)
 
 
 def run_series_simultaneous_ch(
@@ -202,45 +269,11 @@ def run_series_simultaneous_ch(
     Backward pass: every party measures its received half in the Hadamard
     basis and broadcasts the outcome to all upstream parties; party i applies
     a phase fix iff the XOR of all downstream outcomes is 1.  Costs n-1 ebits
-    and (n^2 + n - 2)/2 cbits.
-
-    ``enforce_involution=False`` skips the payload certificate; it exists so
-    the verification layer can demonstrate that non-involutory payloads break
-    determinism against the simultaneous-gate oracle.
+    and (n^2 + n - 2)/2 cbits.  ``enforce_involution`` is as in
+    :func:`run_protocol`.
     """
-    _require_topology(net, TopologyKind.SERIES)
-    _check_payload(payload)
-    if enforce_involution and not validate_gate(payload).involution:
-        raise InvolutionRequired(
-            f"payload {payload.label!r} is not an involution"
-        )
-    n = net.n
-    outcomes = _branch_bits(branch, _schedule_series_ch(n))
-    cu = controlled(payload, 1)
-
-    net.local_apply(1, _CX, [net.qubit_index("d1"), net.qubit_index("f1")])
-    bit = outcomes["f1"]
-    net.local_measure(1, net.qubit_index("f1"), _COMP, bit)
-    net.send_cbit(1, 2, bit, "f1")
-    for i in range(2, n):
-        net.apply_if(i, _X, [net.qubit_index(f"r{i}")], [f"f{i - 1}"])
-        net.local_apply(i, _CX, [net.qubit_index(f"r{i}"), net.qubit_index(f"f{i}")])
-        net.local_apply(i, _CX, [net.qubit_index(f"d{i}"), net.qubit_index(f"f{i}")])
-        bit = outcomes[f"f{i}"]
-        net.local_measure(i, net.qubit_index(f"f{i}"), _COMP, bit)
-        net.send_cbit(i, i + 1, bit, f"f{i}")
-    net.apply_if(n, _X, [net.qubit_index(f"r{n}")], [f"f{n - 1}"])
-    net.local_apply(n, cu, [net.qubit_index(f"r{n}"), net.qubit_index(f"d{n}")])
-
-    for j in range(2, n + 1):
-        bit = outcomes[f"r{j}"]
-        net.local_measure(j, net.qubit_index(f"r{j}"), _HAD, bit)
-        for upstream in range(1, j):
-            net.send_cbit(j, upstream, bit, f"r{j}")
-    for i in range(1, n):
-        downstream = [f"r{j}" for j in range(i + 1, n + 1)]
-        net.apply_if(i, _Z, [net.qubit_index(f"d{i}")], downstream)
-    return net.state
+    spec = ProtocolSpec(ProtocolFamily.SERIES_SIMULTANEOUS_CH, net.n, payload)
+    return run_protocol(spec, net, branch, enforce_involution=enforce_involution)
 
 
 def run_series_ncu(
@@ -259,64 +292,8 @@ def run_series_ncu(
     own half and forwards.  Party 1 finishes with a plain phase fix.  Costs
     n-1 ebits and 2(n-1) cbits.
     """
-    _require_topology(net, TopologyKind.SERIES)
-    _check_payload(payload)
-    n = net.n
-    outcomes = _branch_bits(branch, _schedule_series_ncu(n))
-    cu = controlled(payload, 1)
-
-    net.local_apply(1, _CX, [net.qubit_index("d1"), net.qubit_index("f1")])
-    bit = outcomes["f1"]
-    net.local_measure(1, net.qubit_index("f1"), _COMP, bit)
-    net.send_cbit(1, 2, bit, "f1")
-    for i in range(2, n):
-        net.apply_if(i, _X, [net.qubit_index(f"r{i}")], [f"f{i - 1}"])
-        net.local_apply(
-            i,
-            _CCX,
-            [net.qubit_index(f"r{i}"), net.qubit_index(f"d{i}"), net.qubit_index(f"f{i}")],
-        )
-        bit = outcomes[f"f{i}"]
-        net.local_measure(i, net.qubit_index(f"f{i}"), _COMP, bit)
-        net.send_cbit(i, i + 1, bit, f"f{i}")
-    net.apply_if(n, _X, [net.qubit_index(f"r{n}")], [f"f{n - 1}"])
-    net.local_apply(n, cu, [net.qubit_index(f"r{n}"), net.qubit_index(f"d{n}")])
-
-    bit = outcomes[f"r{n}"]
-    net.local_measure(n, net.qubit_index(f"r{n}"), _HAD, bit)
-    net.send_cbit(n, n - 1, bit, f"r{n}")
-    for i in range(n - 1, 1, -1):
-        net.apply_if(
-            i, _CZ, [net.qubit_index(f"r{i}"), net.qubit_index(f"d{i}")], [f"r{i + 1}"]
-        )
-        bit = outcomes[f"r{i}"]
-        net.local_measure(i, net.qubit_index(f"r{i}"), _HAD, bit)
-        net.send_cbit(i, i - 1, bit, f"r{i}")
-    net.apply_if(1, _Z, [net.qubit_index("d1")], ["r2"])
-    return net.state
-
-
-def run_protocol(
-    spec: ProtocolSpec,
-    net: Network,
-    branch: Sequence[int] | None,
-    *,
-    enforce_involution: bool = True,
-) -> StateVector | None:
-    """Dispatch one execution for the given protocol spec.
-
-    With a branch, the network runs that forced branch and its final state is
-    returned.  With ``branch=None`` every outcome is left unforced: the network
-    must be a batch (see :func:`~telegate.network.build_batch`), which then
-    holds every branch of every input, and ``None`` is returned.
-    """
-    if spec.family is ProtocolFamily.PARALLEL_SIMULTANEOUS_CU:
-        return run_parallel_simultaneous_cu(net, spec.payload, branch)
-    if spec.family is ProtocolFamily.SERIES_SIMULTANEOUS_CH:
-        return run_series_simultaneous_ch(
-            net, spec.payload, branch, enforce_involution=enforce_involution
-        )
-    return run_series_ncu(net, spec.payload, branch)
+    spec = ProtocolSpec(ProtocolFamily.SERIES_N_CONTROLLED_U, net.n, payload)
+    return run_protocol(spec, net, branch)
 
 
 def oracle_effect(spec: ProtocolSpec, input_state: StateVector) -> StateVector:

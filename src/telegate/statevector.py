@@ -48,7 +48,7 @@ class StateVector:
                 f"{self.num_qubits} qubits, got {amps.size}"
             )
         total = float(np.vdot(amps, amps).real)
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:  # also refuses NaN
             raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {total!r}")
         amps = amps.copy()
         amps.setflags(write=False)

@@ -29,11 +29,11 @@ from telegate import (
     random_involution,
     random_state,
     random_unitary,
-    run_parallel_simultaneous_cu,
     run_protocol,
     run_series_ncu,
     run_series_simultaneous_ch,
     topology_for,
+    verify_inputs,
 )
 from conftest import single_qubit_purity
 from reference_states import (
@@ -70,20 +70,18 @@ def _entangled_inputs(n, count, seed_base):
 
 def test_criterion_1_parallel_exhaustive_payload_input_sweep():
     inputs = _entangled_inputs(3, 20, 1000)
-    bases = [build_network(topology_for(PARALLEL), 3, psi)[0] for psi in inputs]
-    branches = _branches(3)
     min_fid = 1.0
     costs_ok = True
     for seed in range(100):
-        payload = random_unitary(seed)
-        spec = ProtocolSpec(PARALLEL, 3, payload)
-        for psi, base in zip(inputs, bases):
-            target = oracle_effect(spec, psi)
-            for branch in branches:
-                net = base.copy()
-                out = run_parallel_simultaneous_cu(net, payload, branch)
-                min_fid = min(min_fid, fidelity_up_to_phase(out, target))
-                costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 4)
+        spec = ProtocolSpec(PARALLEL, 3, random_unitary(seed))
+        report = verify_inputs(spec, inputs)
+        min_fid = min(min_fid, report.min_fidelity)
+        costs_ok = (
+            costs_ok
+            and report.cost_ok
+            and len(report.branches) == 16
+            and all((b.ledger.ebits, b.ledger.cbits) == (2, 4) for b in report.branches)
+        )
     ok = min_fid >= 1 - FIDELITY_ATOL and costs_ok
     _verdict(
         1,

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, report/trace schemas, replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,11 +71,18 @@ def test_series_ch_rejects_non_involutory_payload(capsys):
         ["run", "--family", "parallel-cu", "--payload", "Y"],
         ["run", "--family", "parallel-cu", "--inputs", "sometimes"],
         ["run", "--family", "parallel-cu", "--inputs", "[[1,0],[0,0]]"],
+        # n=9 is over the register limit; no row may be printed before the refusal
+        ["costs", "--family", "parallel-cu", "--n-max", "9"],
+        ["run", "--family", "parallel-cu", "--report-out", "/nonexistent/x.json"],
+        ["run", "--family", "parallel-cu", "--trace-out", "/nonexistent/x.json"],
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
     assert main(argv) == 2
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error" in captured.err and len(captured.err.strip().splitlines()) == 1
+    if argv[0] == "costs":
+        assert captured.out == ""
 
 
 def test_unknown_family_exits_2_via_argparse():
@@ -187,19 +195,42 @@ def _recorded_trace(tmp_path):
     return trace_path, json.loads(trace_path.read_text())
 
 
+_NOT_UNITARY = [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]
+
+
+def _without(trace, key):
+    return {k: v for k, v in trace.items() if k != key}
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda t: t.update(branch=t["branch"][:2]), "outcome bits"),
-        (lambda t: t["payload"].update(matrix=[[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]), "not unitary"),
+        (lambda t: {**t, "branch": t["branch"][:2]}, "outcome bits"),
+        (lambda t: {**t, "payload": {**t["payload"], "matrix": _NOT_UNITARY}}, "not unitary"),
+        (lambda t: [], "JSON object"),
+        (lambda t: _without(t, "events"), "events"),
+        (lambda t: _without(t, "final_state_hash"), "final_state_hash"),
+        (lambda t: {**t, "events": [1, 2]}, "list of objects"),
+        (lambda t: {**t, "branch": [0.5] + t["branch"][1:]}, "outcome bits"),
+        (lambda t: {**t, "payload": {**t["payload"], "label": [1]}}, "label"),
+        (lambda t: {**t, "input": [[float("nan"), 0]] + t["input"][1:]}, "not normalized"),
     ],
-    ids=["truncated-branch", "non-unitary-payload"],
+    ids=[
+        "truncated-branch",
+        "non-unitary-payload",
+        "not-an-object",
+        "missing-events",
+        "missing-final-state-hash",
+        "non-object-events",
+        "fractional-branch-bit",
+        "non-string-label",
+        "nan-input",
+    ],
 )
 def test_malformed_trace_exits_2(tmp_path, capsys, corrupt, message):
     trace_path, trace = _recorded_trace(tmp_path)
     capsys.readouterr()
-    corrupt(trace)
-    trace_path.write_text(json.dumps(trace))
+    trace_path.write_text(json.dumps(corrupt(trace)))
     assert main(["replay", str(trace_path)]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
@@ -223,3 +254,18 @@ def test_register_limit_exits_2_before_allocating(monkeypatch, tmp_path, capsys)
     assert "limit is 22 qubits" in capsys.readouterr().err
     assert main(["replay", str(trace_path)]) == 2
     assert "limit is 22 qubits" in capsys.readouterr().err
+
+
+# Schema-1 traces written by an earlier build: one per family at n=3 and n=4,
+# each on a Haar-random input and a branch of mixed outcomes.
+GOLDEN_TRACES = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", ["parallel-cu", "series-ch", "series-ncu"])
+def test_golden_trace_replays(family, n, capsys):
+    path = GOLDEN_TRACES / f"trace-{family}-n{n}.json"
+    trace = json.loads(path.read_text())
+    assert 0 in trace["branch"] and 1 in trace["branch"]
+    assert main(["replay", str(path)]) == 0
+    assert "replay OK" in capsys.readouterr().out

@@ -152,11 +152,6 @@ class TestLocalOperations:
         prob, _ = net.copy().local_measure(3, q6, HAD, 1)
         assert abs(prob - 0.5) < 1e-10
 
-    def test_data_qubit_field_tracks_label(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 8))
-        assert net.parties[2].data_qubit == net.qubit_index("d2")
-        assert net.parties[2].data_qubit in net.parties[2].held_qubits
-
 
 class TestClassicalBus:
     def test_single_send_costs_one_cbit(self):

@@ -136,6 +136,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="limit is 22 qubits"):
             ProtocolSpec(PARALLEL, 9, random_unitary(0)).validate()
 
+    def test_register_limit_message_for_a_huge_n(self):
+        # the refusal must not try to print 16 << 3n-2 as a decimal
+        with pytest.raises(ValueError, match="limit is 22 qubits"):
+            ProtocolSpec(PARALLEL, 10**6, random_unitary(0)).validate()
+
 
 def _drive_parallel_to_target_ops(d, payload, m_a, m_b):
     net, _ = build_network(TopologyKind.PARALLEL, 3, StateVector(3, d))
@@ -521,6 +526,11 @@ class TestRunErrors:
             run_series_ncu(net, random_unitary(71), (0, 0, 0, 0))
         with pytest.raises(TopologyMismatch):
             run_series_simultaneous_ch(net, hadamard(), (0, 0, 0, 0))
+
+    def test_spec_and_network_must_agree_on_n(self):
+        net, _ = build_network(TopologyKind.PARALLEL, 4, random_state(4, 71))
+        with pytest.raises(TopologyMismatch):
+            run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(71)), net, (0,) * 4)
 
     def test_branch_length_checked(self):
         net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 72))
