@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import InvolutionRequired, LocalityViolation, TelegateError
-from .gates import Gate, parse_gate_spec
+from .gates import Gate, _entry_to_complex, parse_gate_spec
 from .network import build_network, check_register_size
 from .protocols import ProtocolFamily, ProtocolSpec, run_protocol, topology_for
 from .statevector import StateVector, basis_state
@@ -60,15 +60,7 @@ def _is_int(value) -> bool:
 
 
 def _pairs_to_amplitudes(pairs: list) -> np.ndarray:
-    out = np.zeros(len(pairs), dtype=np.complex128)
-    for i, entry in enumerate(pairs):
-        if isinstance(entry, (int, float)):
-            out[i] = complex(entry)
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            out[i] = complex(float(entry[0]), float(entry[1]))
-        else:
-            raise ValueError(f"amplitude {entry!r} is not a number or [re, im] pair")
-    return out
+    return np.array([_entry_to_complex(entry) for entry in pairs], dtype=np.complex128)
 
 
 def _matrix_pairs(gate: Gate) -> list[list[list[float]]]:
@@ -161,6 +153,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         spec = ProtocolSpec(family, args.n, payload)
         spec.validate()
         mode, detail = _parse_inputs(args.inputs, args.n)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
     except InvolutionRequired as exc:
         print(f"error: InvolutionRequired: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

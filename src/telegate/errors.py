@@ -21,9 +21,5 @@ class TopologyMismatch(TelegateError):
     """A protocol was launched on a network with the wrong entanglement layout."""
 
 
-class EntanglementError(TelegateError):
-    """A qubit slated for discard is still entangled with the rest of the register."""
-
-
 class ImpossibleBranchError(TelegateError):
     """A forced measurement outcome has (numerically) zero probability."""

@@ -150,11 +150,11 @@ def random_involution(seed: SeedLike = None) -> Gate:
 
 
 def _entry_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got {entry!r}")
+    """A JSON amplitude or matrix entry: a real number or an [re, im] pair of them."""
+    parts = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0)
+    if not all(isinstance(part, (int, float)) for part in parts):
+        raise ValueError(f"entry {entry!r} is not a number or an [re, im] pair of numbers")
+    return complex(parts[0], parts[1])
 
 
 def parse_gate_spec(text: str) -> Gate:
@@ -179,7 +179,11 @@ def parse_gate_spec(text: str) -> Gate:
             rows = json.loads(text[len("matrix:") :])
         except json.JSONDecodeError as exc:
             raise ValueError(f"unparseable matrix literal: {exc}") from None
-        if not (isinstance(rows, list) and len(rows) == 2 and all(len(r) == 2 for r in rows)):
+        if not (
+            isinstance(rows, list)
+            and len(rows) == 2
+            and all(isinstance(r, list) and len(r) == 2 for r in rows)
+        ):
             raise ValueError("matrix literal must be a 2x2 nested list")
         mat = np.array([[_entry_to_complex(e) for e in row] for row in rows])
         return Gate(1, mat, "matrix")

@@ -105,13 +105,11 @@ class ClassicalMessage:
 class Party:
     id: int
     role: Role
-    held_qubits: set[int] = field(default_factory=set)
     inbox: list[ClassicalMessage] = field(default_factory=list)
 
 
-def bell_state() -> StateVector:
-    """The resource state (|00> + |11>)/sqrt(2)."""
-    return StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
+# The resource state (|00> + |11>)/sqrt(2).
+_BELL = (np.array([1, 0, 0, 1]) / math.sqrt(2)).astype(np.complex128)
 
 
 def register_qubits(n: int) -> int:
@@ -144,7 +142,8 @@ class Unforced:
 
 
 def _row_norms2(amps: np.ndarray) -> np.ndarray:
-    flat = amps.view(np.float64)
+    # A forced measurement of the last qubit leaves a strided view.
+    flat = np.ascontiguousarray(amps).view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
 
 
@@ -167,16 +166,15 @@ class Network:
 
     The register is one ``(rows, 2^qubits)`` array.  A network from
     :func:`build_network` has one normalized row and runs one forced branch:
-    operations record a trace and return the state.  A network from
-    :func:`build_batch` starts with one row per input and takes only
-    :class:`Unforced` outcomes: each measurement splits every row in two, so
-    after k measurements row ``input * 2^k + b`` holds branch ``b`` of that
-    input (outcome bits in measurement order, first most significant),
-    unnormalized, its squared norm being the branch probability.  A batch
-    records no trace and its operations return ``None``.  Ownership and inbox
-    checks run once per operation whatever the number of rows.
-
-    Distinct forced branches must run on independent copies (see :meth:`copy`).
+    operations record a trace, and :attr:`state` reads the register.  A
+    network from :func:`build_batch` starts with one row per input and takes
+    only :class:`Unforced` outcomes: each measurement splits every row in
+    two, so after k measurements row ``input * 2^k + b`` holds branch ``b``
+    of that input (outcome bits in measurement order, first most
+    significant), unnormalized, its squared norm being the branch
+    probability.  A batch records no trace.  Ownership and inbox checks run
+    once per operation whatever the number of rows; ownership is read from
+    the label map, so it follows the register as measured qubits leave it.
     """
 
     def __init__(
@@ -191,7 +189,6 @@ class Network:
         ledger: CostLedger,
         *,
         batched: bool = False,
-        trace: list[dict] | None = None,
     ):
         self.kind = kind
         self.n = n
@@ -202,10 +199,9 @@ class Network:
         self.topology = topology
         self.ledger = ledger
         self.batched = batched
-        self.trace = [] if trace is None else trace
+        self.trace: list[dict] = []
         self._splits = 0
         self._impossible = np.zeros(register.shape[0], dtype=bool)
-        self._refresh()
 
     # -- register ------------------------------------------------------------
 
@@ -245,15 +241,15 @@ class Network:
     def label_at(self, index: int) -> str:
         return self._labels[index]
 
-    def _refresh(self) -> None:
-        for party in self.parties.values():
-            party.held_qubits = {
-                i for i, lbl in enumerate(self._labels) if self._owner[lbl] == party.id
-            }
+    def held_qubits(self, party_id: int) -> set[int]:
+        """Current global indices of the qubits ``party_id`` holds."""
+        return {i for i, lbl in enumerate(self._labels) if self._owner[lbl] == party_id}
+
+    def _holds(self, party_id: int, index: int) -> bool:
+        return 0 <= index < len(self._labels) and self._owner[self._labels[index]] == party_id
 
     def _check_gate(self, party_id: int, gate: Gate, targets: list[int]) -> None:
-        party = self.parties[party_id]
-        foreign = [t for t in targets if t not in party.held_qubits]
+        foreign = [t for t in targets if not self._holds(party_id, t)]
         if foreign:
             names = [self._labels[t] for t in foreign if 0 <= t < len(self._labels)]
             raise LocalityViolation(
@@ -263,18 +259,16 @@ class Network:
 
     # -- local operations ------------------------------------------------
 
-    def local_apply(self, party_id: int, gate: Gate, targets: list[int]) -> StateVector | None:
+    def local_apply(self, party_id: int, gate: Gate, targets: list[int]) -> None:
         """Apply a gate to qubits all held by ``party_id``."""
         targets = list(targets)
         self._check_gate(party_id, gate, targets)
         self._amps = _apply_matrix(self._amps, len(self._labels), gate.matrix, targets)
-        if self.batched:
-            return None
-        labels = [self._labels[t] for t in targets]
-        self.trace.append(
-            {"type": "gate", "party": party_id, "gate": gate.label, "qubits": labels}
-        )
-        return self.state
+        if not self.batched:
+            labels = [self._labels[t] for t in targets]
+            self.trace.append(
+                {"type": "gate", "party": party_id, "gate": gate.label, "qubits": labels}
+            )
 
     def apply_if(self, party_id: int, gate: Gate, targets: list[int], tags: list[str]) -> None:
         """Apply a gate iff the XOR of the bits ``party_id`` holds under ``tags`` is 1.
@@ -304,15 +298,14 @@ class Network:
 
     def local_measure(
         self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int | Unforced
-    ) -> tuple[float, StateVector] | None:
+    ) -> float | None:
         """Measure ``qubit`` and discard it from the register.
 
         A forced branch projects onto ``outcome`` and renormalizes, returning
-        the outcome probability and the new state.  A batch takes the
-        :class:`Unforced` outcome next in order and splits every row in two.
+        the outcome probability.  A batch takes the :class:`Unforced` outcome
+        next in order, splits every row in two and returns ``None``.
         """
-        party = self.parties[party_id]
-        if qubit not in party.held_qubits:
+        if not self._holds(party_id, qubit):
             raise LocalityViolation(f"party {party_id} does not hold qubit {qubit}")
         label = self._labels[qubit]
         if self.batched:
@@ -350,8 +343,7 @@ class Network:
         self._amps = amps
         del self._labels[qubit]
         del self._owner[label]
-        self._refresh()
-        return None if self.batched else (probability, self.state)
+        return None if self.batched else probability
 
     # -- classical bus ----------------------------------------------------
 
@@ -381,29 +373,6 @@ class Network:
             if msg.tag == tag:
                 return msg.bit
         raise MissingMessage(f"party {party_id} has no message tagged {tag!r}")
-
-    # -- misc --------------------------------------------------------------
-
-    def copy(self) -> "Network":
-        parties = {
-            pid: Party(p.id, p.role, set(p.held_qubits), list(p.inbox))
-            for pid, p in self.parties.items()
-        }
-        other = Network(
-            self.kind,
-            self.n,
-            self._amps.copy(),
-            list(self._labels),
-            dict(self._owner),
-            parties,
-            self.topology,
-            self.ledger.copy(),
-            batched=self.batched,
-            trace=list(self.trace),
-        )
-        other._splits = self._splits
-        other._impossible = self._impossible.copy()
-        return other
 
 
 def _parallel_layout(n: int) -> list[str]:
@@ -465,9 +434,8 @@ def _build(kind: TopologyKind, n: int, inputs: Sequence[StateVector], batched: b
 
     rows = len(inputs)
     combined = np.stack([state.amplitudes for state in inputs])
-    bell = bell_state().amplitudes
     for _ in range(n - 1):
-        combined = (combined[:, :, None] * bell).reshape(rows, -1)
+        combined = (combined[:, :, None] * _BELL).reshape(rows, -1)
     tensor_order = [f"d{i}" for i in range(1, n + 1)]
     for a, b in pair_labels:
         tensor_order += [a, b]

@@ -1,29 +1,28 @@
-"""Dense statevector engine for small qubit registers.
+"""The validated state type that crosses the API boundary.
 
-Qubit 0 is the leftmost symbol in ket notation: the basis index of
-|b0 b1 ... b_{n-1}> has b0 as its most significant bit.  Every operation is
-pure -- it takes states in and returns new states -- and ``StateVector``
-values are immutable once constructed, so they are safe to share across
-threads or branch evaluations.
+A :class:`StateVector` is an immutable, normalized amplitude vector: inputs
+enter the package as one, and a forced run's final register leaves it as
+one.  Qubit 0 is the leftmost symbol in ket notation: the basis index of
+|b0 b1 ... b_{n-1}> has b0 as its most significant bit.
+
+The register itself -- gates, measurements, the branch axis -- runs on raw
+arrays in :mod:`telegate.network`, using this module's gate kernel
+:func:`_apply_matrix`.  :func:`apply_gate` is that kernel's pure, validated
+form, used by the ideal-effect oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EntanglementError
 from .gates import Gate
 
 NORM_ATOL = 1e-10
 IMPOSSIBLE_CUTOFF = 1e-12
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 
 class MeasurementBasis(Enum):
@@ -73,21 +72,6 @@ def basis_state(num_qubits: int, bits: str) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product with a's qubits leftmost."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def permute_qubits(s: StateVector, perm: Sequence[int]) -> StateVector:
-    """Relabel qubits: the qubit at position i moves to position perm[i]."""
-    n = s.num_qubits
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm!r} is not a bijection on 0..{n - 1}")
-    inverse = np.argsort(perm)
-    reshaped = s.amplitudes.reshape((2,) * n).transpose(inverse)
-    return StateVector(n, reshaped.reshape(-1))
-
-
 def _apply_matrix(
     amps: np.ndarray, num_qubits: int, matrix: np.ndarray, targets: Sequence[int]
 ) -> np.ndarray:
@@ -119,66 +103,6 @@ def apply_gate(s: StateVector, g: Gate, targets: Sequence[int]) -> StateVector:
     targets = list(targets)
     _check_targets(g, targets, s.num_qubits)
     return StateVector(s.num_qubits, _apply_matrix(s.amplitudes, s.num_qubits, g.matrix, targets))
-
-
-@lru_cache(maxsize=None)
-def _outcome_mask(num_qubits: int, q: int, outcome: int) -> np.ndarray:
-    indices = np.arange(1 << num_qubits)
-    mask = ((indices >> (num_qubits - 1 - q)) & 1) == outcome
-    mask.setflags(write=False)
-    return mask
-
-
-def project_measure(
-    s: StateVector, q: int, basis: MeasurementBasis, outcome: int
-) -> tuple[float, StateVector | None]:
-    """Project qubit ``q`` onto the chosen basis vector and renormalize.
-
-    Returns the outcome probability together with the post-measurement state
-    (same number of qubits).  If the probability falls below 1e-12 the branch
-    is impossible: the probability is returned and the state is ``None``.
-    """
-    if q < 0 or q >= s.num_qubits:
-        raise ValueError(f"qubit {q} out of range")
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    n = s.num_qubits
-    work = s.amplitudes
-    if basis is MeasurementBasis.HADAMARD:
-        work = _apply_matrix(work, n, _HADAMARD, (q,))
-    projected = np.where(_outcome_mask(n, q, outcome), work, 0.0)
-    probability = float(np.vdot(projected, projected).real)
-    if probability < IMPOSSIBLE_CUTOFF:
-        return probability, None
-    projected = projected / math.sqrt(probability)
-    if basis is MeasurementBasis.HADAMARD:
-        projected = _apply_matrix(projected, n, _HADAMARD, (q,))
-    return probability, StateVector(n, projected)
-
-
-def discard_qubit(s: StateVector, q: int) -> StateVector:
-    """Drop qubit ``q``, which must be in a product state with the rest.
-
-    This is always safe immediately after ``project_measure`` on ``q``.  Any
-    residual entanglement above 1e-10 is a contract violation and raises.
-    Indices above ``q`` shift down by one.
-    """
-    n = s.num_qubits
-    if q < 0 or q >= n:
-        raise ValueError(f"qubit {q} out of range")
-    if n == 1:
-        raise ValueError("cannot discard the only qubit")
-    rows = np.moveaxis(s.amplitudes.reshape((2,) * n), q, 0).reshape(2, -1)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows.conj()).real)
-    lead = 0 if norms[0] >= norms[1] else 1
-    remainder = rows[lead] / norms[lead]
-    coeffs = rows @ remainder.conj()
-    residual = float(np.abs(rows - np.outer(coeffs, remainder)).max())
-    if residual > NORM_ATOL:
-        raise EntanglementError(
-            f"qubit {q} is still entangled with the rest (residual {residual:.3e})"
-        )
-    return StateVector(n - 1, remainder)
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from telegate import StateVector
+from telegate import MeasurementBasis, StateVector
 
 
 def permutation_matrix(perm: list[int], n: int) -> np.ndarray:
@@ -73,6 +73,27 @@ def hadamard_projector_probability(state: StateVector, q: int, outcome: int) -> 
             acc += coef * state.amplitudes[_insert_bit(rest_idx, n, q, bit)]
         total += abs(acc / math.sqrt(2)) ** 2
     return total
+
+
+def projected_remainder(
+    state: StateVector, q: int, basis: MeasurementBasis, outcome: int
+) -> np.ndarray:
+    """Brute-force post-measurement state with qubit q projected and dropped.
+
+    Each amplitude of the remaining n-1 qubits is <outcome|_q applied to the
+    two amplitudes that differ only in qubit q, then the result is
+    renormalized by the square root of the outcome probability.
+    """
+    n = state.num_qubits
+    if basis is MeasurementBasis.COMPUTATIONAL:
+        bra = (1.0, 0.0) if outcome == 0 else (0.0, 1.0)
+    else:
+        bra = (1 / math.sqrt(2), 1 / math.sqrt(2) if outcome == 0 else -1 / math.sqrt(2))
+    out = np.zeros(1 << (n - 1), dtype=complex)
+    for rest_idx in range(1 << (n - 1)):
+        for bit in (0, 1):
+            out[rest_idx] += bra[bit] * state.amplitudes[_insert_bit(rest_idx, n, q, bit)]
+    return out / np.linalg.norm(out)
 
 
 def single_qubit_purity(state: StateVector, q: int) -> float:

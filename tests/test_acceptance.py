@@ -35,6 +35,7 @@ from telegate import (
     topology_for,
     verify_inputs,
 )
+from telegate.network import build_batch
 from conftest import single_qubit_purity
 from reference_states import (
     random_coefficients,
@@ -130,24 +131,21 @@ def test_criterion_2_parallel_n6():
 def test_criterion_3_series_ch_basis_rows_for_many_involutions():
     payloads = [hadamard(), pauli_x(), pauli_z()]
     payloads += [random_involution(seed) for seed in range(50)]
-    branches = _branches(3)
+    inputs = [basis_state(3, format(idx, "03b")) for idx in range(8)]
     min_fid = 1.0
     costs_ok = True
     rows_ok = True
     for payload in payloads:
-        for idx in range(8):
-            bits = format(idx, "03b")
-            expected = series_ch_final(
-                basis_state(3, bits).amplitudes, payload.matrix
-            )
-            for branch in branches:
-                net, _ = build_network(topology_for(SERIES_CH), 3, basis_state(3, bits))
-                out = run_series_simultaneous_ch(net, payload, branch)
-                rows_ok = rows_ok and np.allclose(
-                    out.amplitudes, expected.amplitudes, atol=1e-10
-                )
-                min_fid = min(min_fid, fidelity_up_to_phase(out, expected))
-                costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 5)
+        # one batched run gives all 16 branches of the 8 basis inputs as rows
+        # (input * 16 + branch), each unnormalized by sqrt of its probability
+        net = build_batch(topology_for(SERIES_CH), 3, inputs)
+        run_series_simultaneous_ch(net, payload, None)
+        finals = net.register.reshape(8, 16, 8) / np.sqrt(net.probabilities).reshape(8, 16, 1)
+        for state, rows in zip(inputs, finals):
+            expected = series_ch_final(state.amplitudes, payload.matrix).amplitudes
+            rows_ok = rows_ok and np.allclose(rows, expected, atol=1e-10)
+            min_fid = min(min_fid, float((np.abs(rows @ expected.conj()) ** 2).min()))
+        costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 5)
     # the two worked rows: both controls set cancels the involution,
     # a single set control applies it once
     net, _ = build_network(topology_for(SERIES_CH), 3, basis_state(3, "110"))
@@ -293,9 +291,7 @@ class _MutatingNetwork(Network):
 
     def local_apply(self, party_id, gate, targets):
         if self._gate_calls == self._mutate_at:
-            foreign = min(
-                set(range(len(self._labels))) - self.parties[party_id].held_qubits
-            )
+            foreign = min(set(range(len(self._labels))) - self.held_qubits(party_id))
             targets = [foreign] + list(targets[1:])
         self._gate_calls += 1
         return super().local_apply(party_id, gate, targets)

@@ -75,6 +75,13 @@ def test_series_ch_rejects_non_involutory_payload(capsys):
         ["costs", "--family", "parallel-cu", "--n-max", "9"],
         ["run", "--family", "parallel-cu", "--report-out", "/nonexistent/x.json"],
         ["run", "--family", "parallel-cu", "--trace-out", "/nonexistent/x.json"],
+        # [re, im] pairs with a non-real part, a matrix row that is not a list,
+        # and a seed numpy refuses
+        ["run", "--family", "parallel-cu", "--inputs", "[[1,null],0,0,0,0,0,0,0]"],
+        ["run", "--family", "parallel-cu", "--inputs", "[[1,[0]],0,0,0,0,0,0,0]"],
+        ["run", "--family", "parallel-cu", "--payload", "matrix:[[[1,null],0],[0,1]]"],
+        ["run", "--family", "parallel-cu", "--payload", "matrix:[[1,0],5]"],
+        ["run", "--family", "parallel-cu", "--seed", "-1"],
     ],
 )
 def test_config_errors_exit_2(argv, capsys):

@@ -18,6 +18,7 @@ from telegate import (
 from conftest import (
     computational_projector_probability,
     hadamard_projector_probability,
+    projected_remainder,
 )
 from reference_states import (
     parallel_register_state,
@@ -31,7 +32,7 @@ CX = controlled(pauli_x())
 
 
 def _held_labels(net, party_id):
-    return {net.label_at(i) for i in net.parties[party_id].held_qubits}
+    return {net.label_at(i) for i in net.held_qubits(party_id)}
 
 
 class TestBuildNetwork:
@@ -91,7 +92,7 @@ class TestBuildNetwork:
 
     def test_ownership_is_a_partition(self):
         net, _ = build_network(TopologyKind.PARALLEL, 4, random_state(4, 4))
-        held = [net.parties[p].held_qubits for p in net.parties]
+        held = [net.held_qubits(p) for p in net.parties]
         union = set().union(*held)
         assert union == set(range(10))
         assert sum(len(h) for h in held) == len(union)
@@ -131,11 +132,11 @@ class TestLocalOperations:
     def test_measurement_discards_and_reindexes(self):
         net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 6))
         net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
-        prob, state = net.local_measure(1, net.qubit_index("f1"), COMP, 0)
-        assert state.num_qubits == 6
+        net.local_measure(1, net.qubit_index("f1"), COMP, 0)
+        assert net.state.num_qubits == 6
         assert _held_labels(net, 1) == {"d1"}
         assert net.qubit_index("r2") == 1
-        held = [net.parties[p].held_qubits for p in net.parties]
+        held = [net.held_qubits(p) for p in net.parties]
         assert set().union(*held) == set(range(6))
 
     def test_forced_bell_half_outcomes_are_fair_coins(self):
@@ -147,10 +148,40 @@ class TestLocalOperations:
         q6 = net.qubit_index("r3")
         for outcome in (0, 1):
             assert abs(hadamard_projector_probability(state, q6, outcome) - 0.5) < 1e-10
-        prob, _ = net.copy().local_measure(1, q, COMP, 0)
-        assert abs(prob - 0.5) < 1e-10
-        prob, _ = net.copy().local_measure(3, q6, HAD, 1)
-        assert abs(prob - 0.5) < 1e-10
+        fresh, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+        assert abs(fresh.local_measure(1, q, COMP, 0) - 0.5) < 1e-10
+        fresh, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+        assert abs(fresh.local_measure(3, q6, HAD, 1) - 0.5) < 1e-10
+
+
+class TestBornRule:
+    """Measurement through the live register code against brute-force projectors."""
+
+    @pytest.mark.parametrize("kind", [TopologyKind.PARALLEL, TopologyKind.SERIES])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_qubit_both_bases_both_outcomes(self, kind, n, rng):
+        for _ in range(3):
+            psi = random_state(n, rng)
+            _, register = build_network(kind, n, psi)
+            for q in range(register.num_qubits):
+                for basis, born in (
+                    (COMP, computational_projector_probability),
+                    (HAD, hadamard_projector_probability),
+                ):
+                    probabilities = []
+                    for outcome in (0, 1):
+                        net, _ = build_network(kind, n, psi)
+                        (party,) = [p for p in net.parties if q in net.held_qubits(p)]
+                        prob = net.local_measure(party, q, basis, outcome)
+                        assert abs(prob - born(register, q, outcome)) < 1e-12
+                        np.testing.assert_allclose(
+                            net.state.amplitudes,
+                            projected_remainder(register, q, basis, outcome),
+                            rtol=0,
+                            atol=1e-12,
+                        )
+                        probabilities.append(prob)
+                    assert abs(sum(probabilities) - 1.0) < 1e-12
 
 
 class TestClassicalBus:
@@ -201,22 +232,3 @@ class TestClassicalBus:
             seen.append(net.ledger.cbits)
             assert net.ledger.ebits == 3
         assert seen == sorted(seen)
-
-
-class TestCopy:
-    def test_copies_do_not_share_mutable_state(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 11))
-        other = net.copy()
-        other.local_apply(1, CX, [other.qubit_index("d1"), other.qubit_index("f1")])
-        other.local_measure(1, other.qubit_index("f1"), COMP, 0)
-        other.send_cbit(1, 2, 0, "f1")
-        assert net.state.num_qubits == 7
-        assert net.ledger.cbits == 0
-        assert net.trace == []
-        assert net.parties[2].inbox == []
-
-    def test_copy_preserves_roles_and_topology(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 11))
-        other = net.copy()
-        assert other.topology is net.topology
-        assert other.parties[3].role is Role.TARGET

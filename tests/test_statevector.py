@@ -1,4 +1,4 @@
-"""Statevector engine tests, cross-checked against naive oracles."""
+"""StateVector boundary type and oracle kernel tests, cross-checked against naive oracles."""
 
 import math
 
@@ -6,35 +6,16 @@ import numpy as np
 import pytest
 
 from telegate import (
-    EntanglementError,
-    MeasurementBasis,
     StateVector,
     apply_gate,
     basis_state,
     controlled,
-    discard_qubit,
     fidelity_up_to_phase,
     identity,
     pauli_x,
-    permute_qubits,
-    project_measure,
     random_state,
-    tensor,
 )
-from conftest import (
-    computational_projector_probability,
-    hadamard_projector_probability,
-    naive_embedded_matrix,
-    single_qubit_purity,
-)
-from reference_states import (
-    parallel_register_state,
-    random_coefficients,
-    series_register_state,
-)
-
-COMP = MeasurementBasis.COMPUTATIONAL
-HAD = MeasurementBasis.HADAMARD
+from conftest import naive_embedded_matrix, single_qubit_purity
 
 
 class TestBasisState:
@@ -73,66 +54,6 @@ class TestStateVectorInvariants:
             state.amplitudes[0] = 0.5
 
 
-class TestTensor:
-    def test_zero_times_one(self):
-        result = tensor(basis_state(1, "0"), basis_state(1, "1"))
-        np.testing.assert_array_equal(result.amplitudes, basis_state(2, "01").amplitudes)
-
-    def test_norm_multiplicative(self, rng):
-        a = random_state(2, rng)
-        b = random_state(3, rng)
-        joint = tensor(a, b)
-        assert joint.num_qubits == 5
-        assert abs(np.linalg.norm(joint.amplitudes) - 1.0) < 1e-12
-
-    def test_series_register_expansion(self):
-        # data on qubits 1,4,7 with pairs on (2,3) and (5,6): tensor in the
-        # order (1,4,7,2,3,5,6), then reorder to 1..7
-        d = random_coefficients(3)
-        data = StateVector(3, d)
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
-        combined = tensor(tensor(data, bell), bell)
-        reordered = permute_qubits(combined, [0, 3, 6, 1, 2, 4, 5])
-        np.testing.assert_allclose(
-            reordered.amplitudes, series_register_state(d).amplitudes, atol=1e-12
-        )
-
-    def test_parallel_register_expansion(self):
-        # data on (a,b,c) with pairs (A,C1), (B,C2): tensor order
-        # (a,b,c,A,C1,B,C2), reorder to (a,A,b,B,C1,C2,c)
-        d = random_coefficients(4)
-        data = StateVector(3, d)
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
-        combined = tensor(tensor(data, bell), bell)
-        reordered = permute_qubits(combined, [0, 2, 6, 1, 4, 3, 5])
-        np.testing.assert_allclose(
-            reordered.amplitudes, parallel_register_state(d).amplitudes, atol=1e-12
-        )
-
-
-class TestPermuteQubits:
-    def test_identity(self, rng):
-        state = random_state(3, rng)
-        np.testing.assert_array_equal(
-            permute_qubits(state, [0, 1, 2]).amplitudes, state.amplitudes
-        )
-
-    def test_swap(self):
-        swapped = permute_qubits(basis_state(2, "01"), [1, 0])
-        np.testing.assert_array_equal(swapped.amplitudes, basis_state(2, "10").amplitudes)
-
-    def test_roundtrip_is_exact(self, rng):
-        state = random_state(5, rng)
-        perm = list(rng.permutation(5))
-        inverse = [perm.index(i) for i in range(5)]
-        back = permute_qubits(permute_qubits(state, perm), inverse)
-        np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
-
-    def test_rejects_non_bijection(self, rng):
-        with pytest.raises(ValueError):
-            permute_qubits(random_state(2, rng), [0, 0])
-
-
 class TestApplyGate:
     def test_pauli_x_flips(self):
         out = apply_gate(basis_state(1, "0"), pauli_x(), [0])
@@ -148,9 +69,9 @@ class TestApplyGate:
         alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         alpha, beta = alpha / norm, beta / norm
-        data = StateVector(1, np.array([alpha, beta]))
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
-        state = apply_gate(tensor(data, bell), controlled(pauli_x()), [0, 1])
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        joint = StateVector(3, np.kron(np.array([alpha, beta]), bell))
+        state = apply_gate(joint, controlled(pauli_x()), [0, 1])
         expected = np.zeros(8, dtype=complex)
         expected[0b000] = alpha / math.sqrt(2)
         expected[0b011] = alpha / math.sqrt(2)
@@ -201,113 +122,6 @@ class TestApplyGate:
             targets = list(rng.permutation(4)[:2])
             state = apply_gate(state, gate, targets)
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
-
-
-class TestProjectMeasure:
-    def test_bell_computational_zero(self):
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
-        prob, post = project_measure(bell, 0, COMP, 0)
-        assert abs(prob - 0.5) < 1e-12
-        np.testing.assert_allclose(post.amplitudes, basis_state(2, "00").amplitudes, atol=1e-12)
-
-    def test_plus_in_hadamard_basis(self):
-        plus = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        prob, post = project_measure(plus, 0, HAD, 0)
-        assert abs(prob - 1.0) < 1e-12
-        np.testing.assert_allclose(post.amplitudes, plus.amplitudes, atol=1e-12)
-
-    def test_impossible_branch_flagged_not_raised(self):
-        prob, post = project_measure(basis_state(1, "0"), 0, COMP, 1)
-        assert prob < 1e-12
-        assert post is None
-
-    @pytest.mark.parametrize("basis", [COMP, HAD])
-    def test_outcome_probabilities_sum_to_one(self, basis, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            state = random_state(n, rng)
-            q = int(rng.integers(n))
-            p0, _ = project_measure(state, q, basis, 0)
-            p1, _ = project_measure(state, q, basis, 1)
-            assert abs(p0 + p1 - 1.0) < 1e-10
-
-    def test_probability_matches_brute_force_projector(self, rng):
-        for _ in range(10):
-            state = random_state(3, rng)
-            q = int(rng.integers(3))
-            for outcome in (0, 1):
-                p_comp, _ = project_measure(state, q, COMP, outcome)
-                assert abs(p_comp - computational_projector_probability(state, q, outcome)) < 1e-12
-                p_had, _ = project_measure(state, q, HAD, outcome)
-                assert abs(p_had - hadamard_projector_probability(state, q, outcome)) < 1e-12
-
-    def test_copied_bell_half_measures_unbiased_for_any_input(self, rng):
-        # once a data qubit has been CNOT-copied onto a Bell half, measuring
-        # that half is a coin flip regardless of the input state
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
-        for _ in range(10):
-            data = random_state(1, rng)
-            state = apply_gate(tensor(data, bell), controlled(pauli_x()), [0, 1])
-            for outcome in (0, 1):
-                prob, _ = project_measure(state, 1, COMP, outcome)
-                assert abs(prob - 0.5) < 1e-10
-                assert abs(computational_projector_probability(state, 1, outcome) - 0.5) < 1e-10
-
-
-class TestDiscardQubit:
-    def test_discard_product_qubit(self):
-        state = tensor(basis_state(1, "0"), basis_state(1, "1"))
-        out = discard_qubit(state, 1)
-        np.testing.assert_array_equal(out.amplitudes, basis_state(1, "0").amplitudes)
-
-    def test_indices_shift_down(self):
-        state = tensor(basis_state(2, "01"), basis_state(1, "1"))
-        out = discard_qubit(state, 0)
-        np.testing.assert_array_equal(out.amplitudes, basis_state(2, "11").amplitudes)
-
-    def test_discard_after_measure_never_raises(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            state = random_state(n, rng)
-            q = int(rng.integers(n))
-            basis = COMP if rng.integers(2) == 0 else HAD
-            outcome = int(rng.integers(2))
-            prob, post = project_measure(state, q, basis, outcome)
-            if post is None:
-                continue
-            reduced = discard_qubit(post, q)
-            assert reduced.num_qubits == n - 1
-
-    def test_discarding_entangled_qubit_raises(self):
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
-        with pytest.raises(EntanglementError):
-            discard_qubit(bell, 0)
-
-    def test_measure_discard_commutes_with_permutation(self, rng):
-        for _ in range(10):
-            n = 4
-            state = random_state(n, rng)
-            q = int(rng.integers(n))
-            basis = COMP if rng.integers(2) == 0 else HAD
-            prob_a, post_a = project_measure(state, q, basis, 0)
-            if post_a is None:
-                continue
-            direct = discard_qubit(post_a, q)
-
-            perm = list(rng.permutation(n))
-            moved = permute_qubits(state, perm)
-            prob_b, post_b = project_measure(moved, perm[q], basis, 0)
-            assert abs(prob_a - prob_b) < 1e-12
-            via_perm = discard_qubit(post_b, perm[q])
-            # map the surviving qubits of the direct result onto the permuted one
-            survivors = [i for i in range(n) if i != q]
-            reorder = [0] * (n - 1)
-            for new_pos, original in enumerate(survivors):
-                shifted = perm[original] - (1 if perm[original] > perm[q] else 0)
-                reorder[new_pos] = shifted
-            np.testing.assert_allclose(
-                permute_qubits(direct, reorder).amplitudes, via_perm.amplitudes, atol=1e-12
-            )
 
 
 class TestFidelity:
