@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from telegate import (
+    ImpossibleBranchError,
     LocalityViolation,
     MeasurementBasis,
     MissingMessage,
     Role,
     StateVector,
     TopologyKind,
+    basis_state,
     build_network,
     controlled,
     pauli_x,
     random_state,
 )
+from telegate.network import Unforced, build_batch
 from conftest import (
     computational_projector_probability,
     hadamard_projector_probability,
@@ -29,6 +32,16 @@ from reference_states import (
 COMP = MeasurementBasis.COMPUTATIONAL
 HAD = MeasurementBasis.HADAMARD
 CX = controlled(pauli_x())
+KINDS = [TopologyKind.PARALLEL, TopologyKind.SERIES]
+
+ZERO = np.array([1, 0], dtype=complex)
+MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
+BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def _owner(net, q):
+    (party,) = [p for p in net.parties if q in net.held_qubits(p)]
+    return party
 
 
 def _held_labels(net, party_id):
@@ -184,6 +197,173 @@ class TestBornRule:
                     assert abs(sum(probabilities) - 1.0) < 1e-12
 
 
+class TestForcedMeasurement:
+    """Worked single-branch measurements on small registers."""
+
+    def test_bell_half_computational_zero(self):
+        # series n=2 on |00>: d1 f1 r2 d2 = |0> (|00> + |11>)/sqrt(2) |0>
+        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        prob = net.local_measure(1, net.qubit_index("f1"), COMP, 0)
+        assert abs(prob - 0.5) < 1e-12
+        np.testing.assert_allclose(
+            net.state.amplitudes, basis_state(3, "000").amplitudes, atol=1e-12
+        )
+
+    def test_bell_half_hadamard_minus_leaves_partner_in_minus(self):
+        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        prob = net.local_measure(1, net.qubit_index("f1"), HAD, 1)
+        assert abs(prob - 0.5) < 1e-12
+        np.testing.assert_allclose(
+            net.state.amplitudes, np.kron(np.kron(ZERO, MINUS), ZERO), atol=1e-12
+        )
+
+    def test_plus_in_hadamard_basis_is_certain(self):
+        plus_zero = StateVector(2, np.array([1, 0, 1, 0]) / np.sqrt(2))
+        net, _ = build_network(TopologyKind.SERIES, 2, plus_zero)
+        prob = net.local_measure(1, net.qubit_index("d1"), HAD, 0)
+        assert abs(prob - 1.0) < 1e-12
+        np.testing.assert_allclose(net.state.amplitudes, np.kron(BELL, ZERO), atol=1e-12)
+
+    def test_impossible_outcome_raises_and_is_traced(self):
+        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        with pytest.raises(ImpossibleBranchError):
+            net.local_measure(1, net.qubit_index("d1"), COMP, 1)
+        assert net.trace[-1]["type"] == "measure"
+        assert net.trace[-1]["probability"] < 1e-12
+
+    def test_copied_bell_half_measures_unbiased_for_any_input(self, rng):
+        # once a data qubit has been CNOT-copied onto a Bell half, measuring
+        # that half is a coin flip whatever the input state
+        for _ in range(10):
+            psi = random_state(2, rng)
+            for outcome in (0, 1):
+                net, _ = build_network(TopologyKind.SERIES, 2, psi)
+                net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
+                prob = net.local_measure(1, net.qubit_index("f1"), COMP, outcome)
+                assert abs(prob - 0.5) < 1e-10
+
+
+class TestBatchedMeasurement:
+    """A batch's split rows against forced measurements of every qubit."""
+
+    @pytest.mark.parametrize("basis", [COMP, HAD])
+    def test_split_rows_sum_to_their_parent_row(self, basis, rng):
+        inputs = [random_state(3, rng) for _ in range(3)]
+        for kind in KINDS:
+            for q in range(7):
+                net = build_batch(kind, 3, inputs)
+                net.local_measure(_owner(net, q), q, basis, Unforced(0))
+                probabilities = net.probabilities
+                assert probabilities.shape == (6,)
+                assert net.register.shape == (6, 1 << 6)
+                np.testing.assert_allclose(
+                    probabilities[0::2] + probabilities[1::2], 1.0, rtol=0, atol=1e-12
+                )
+                assert not net.impossible.any()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_split_rows_are_the_forced_outcomes(self, kind, rng):
+        inputs = [random_state(3, rng) for _ in range(2)]
+        for q in range(7):
+            for basis in (COMP, HAD):
+                batch = build_batch(kind, 3, inputs)
+                batch.local_measure(_owner(batch, q), q, basis, Unforced(0))
+                for i, psi in enumerate(inputs):
+                    for outcome in (0, 1):
+                        net, _ = build_network(kind, 3, psi)
+                        prob = net.local_measure(_owner(net, q), q, basis, outcome)
+                        row = 2 * i + outcome
+                        assert abs(batch.probabilities[row] - prob) < 1e-12
+                        np.testing.assert_allclose(
+                            batch.register[row] / np.sqrt(prob),
+                            net.state.amplitudes,
+                            rtol=0,
+                            atol=1e-12,
+                        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_rows_are_the_single_registers(self, kind, rng):
+        inputs = [random_state(4, rng) for _ in range(3)]
+        batch = build_batch(kind, 4, inputs)
+        assert batch.state is None
+        for row, psi in zip(batch.register, inputs):
+            _, register = build_network(kind, 4, psi)
+            np.testing.assert_allclose(row, register.amplitudes, rtol=0, atol=1e-12)
+
+
+class TestDiscard:
+    """A measured qubit leaves the register and later indices shift down."""
+
+    def test_certain_outcome_leaves_the_rest_unchanged(self):
+        # series n=2 on |01>: measuring d2 gives 1 with certainty
+        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "01"))
+        prob = net.local_measure(2, net.qubit_index("d2"), COMP, 1)
+        assert abs(prob - 1.0) < 1e-12
+        np.testing.assert_allclose(net.state.amplitudes, np.kron(ZERO, BELL), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_later_indices_shift_down_by_one(self, kind):
+        psi = random_state(4, 12)
+        for q in range(10):
+            net, _ = build_network(kind, 4, psi)
+            before = [net.label_at(i) for i in range(10)]
+            net.local_measure(_owner(net, q), q, COMP, 0)
+            after = [net.label_at(i) for i in range(9)]
+            assert after == before[:q] + before[q + 1:]
+            for i, label in enumerate(after):
+                assert net.qubit_index(label) == i
+            with pytest.raises(KeyError):
+                net.qubit_index(before[q])
+
+    def test_measuring_down_to_one_qubit_stays_normalized(self, rng):
+        for _ in range(10):
+            kind = KINDS[int(rng.integers(2))]
+            n = int(rng.integers(2, 5))
+            net, _ = build_network(kind, n, random_state(n, rng))
+            for size in range(3 * n - 2, 1, -1):
+                q = int(rng.integers(size))
+                basis, born = (
+                    (COMP, computational_projector_probability)
+                    if rng.integers(2) == 0
+                    else (HAD, hadamard_projector_probability)
+                )
+                # the likelier outcome: a Bell partner's outcome can be certain
+                outcome = 0 if born(net.state, q, 0) >= 0.5 else 1
+                net.local_measure(_owner(net, q), q, basis, outcome)
+                state = net.state
+                assert state.num_qubits == size - 1
+                assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
+                held = [net.held_qubits(p) for p in net.parties]
+                assert set().union(*held) == set(range(size - 1))
+                assert sum(len(h) for h in held) == size - 1
+
+    def test_measurements_by_different_parties_commute(self, rng):
+        for _ in range(10):
+            kind = KINDS[int(rng.integers(2))]
+            psi = random_state(3, rng)
+            net, _ = build_network(kind, 3, psi)
+            a, b = rng.choice(7, size=2, replace=False)
+            if _owner(net, a) == _owner(net, b):
+                continue
+            label_a, label_b = net.label_at(a), net.label_at(b)
+            basis_a = COMP if rng.integers(2) == 0 else HAD
+            basis_b = COMP if rng.integers(2) == 0 else HAD
+            results = []
+            for order in ((label_a, basis_a), (label_b, basis_b)), (
+                (label_b, basis_b),
+                (label_a, basis_a),
+            ):
+                net, _ = build_network(kind, 3, psi)
+                joint = 1.0
+                for label, basis in order:
+                    q = net.qubit_index(label)
+                    joint *= net.local_measure(_owner(net, q), q, basis, 0)
+                results.append((joint, net.state.amplitudes))
+            (p_ab, state_ab), (p_ba, state_ba) = results
+            assert abs(p_ab - p_ba) < 1e-12
+            np.testing.assert_allclose(state_ab, state_ba, rtol=0, atol=1e-12)
+
+
 class TestClassicalBus:
     def test_single_send_costs_one_cbit(self):
         net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
@@ -232,3 +412,28 @@ class TestClassicalBus:
             seen.append(net.ledger.cbits)
             assert net.ledger.ebits == 3
         assert seen == sorted(seen)
+
+
+class TestIndependentNetworks:
+    def test_networks_from_one_input_share_no_state(self):
+        psi = random_state(3, 11)
+        before = psi.amplitudes.copy()
+        net, _ = build_network(TopologyKind.SERIES, 3, psi)
+        other, _ = build_network(TopologyKind.SERIES, 3, psi)
+        other.local_apply(1, CX, [other.qubit_index("d1"), other.qubit_index("f1")])
+        other.local_measure(1, other.qubit_index("f1"), COMP, 0)
+        other.send_cbit(1, 2, 0, "f1")
+        assert net.state.num_qubits == 7
+        assert net.ledger.cbits == 0
+        assert net.trace == []
+        assert net.parties[2].inbox == []
+        assert _held_labels(net, 1) == {"d1", "f1"}
+        np.testing.assert_array_equal(psi.amplitudes, before)
+
+    def test_register_view_is_read_only(self):
+        net, state = build_network(TopologyKind.PARALLEL, 3, random_state(3, 11))
+        with pytest.raises(ValueError):
+            net.register[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            net.state.amplitudes[0] = 1.0
+        np.testing.assert_array_equal(net.state.amplitudes, state.amplitudes)
