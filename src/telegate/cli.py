@@ -38,6 +38,10 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_LOCALITY_VIOLATION = 3
 
+# Most random inputs ``run --inputs random:<count>`` accepts: every input is
+# built before the first pass, 16 * 2^n bytes each (40 MiB at n = 8).
+MAX_RANDOM_INPUTS = 10_000
+
 
 def _round12(x: float) -> float:
     r = round(float(x), 12)
@@ -74,7 +78,7 @@ def _gate_from_pairs(label: str, rows: list) -> Gate:
 
 def record_trace(spec: ProtocolSpec, input_state: StateVector, branch: list[int]) -> dict:
     """Execute one branch and capture a self-contained, replayable trace."""
-    net, _ = build_network(topology_for(spec.family), spec.n, input_state)
+    net = build_network(topology_for(spec.family), spec.n, input_state)[0]
     final = run_protocol(spec, net, branch)
     return {
         "schema": SCHEMA_VERSION,
@@ -137,6 +141,10 @@ def _parse_inputs(raw: str, n: int) -> tuple[str, int | StateVector]:
         count = int(raw.split(":", 1)[1])
         if count < 0:
             raise ValueError("random input count must be >= 0")
+        if count > MAX_RANDOM_INPUTS:
+            raise ValueError(
+                f"random input count {count} is over the limit of {MAX_RANDOM_INPUTS}"
+            )
         return "random", count
     if raw.startswith("["):
         amps = _pairs_to_amplitudes(json.loads(raw))

@@ -8,6 +8,14 @@ which is the core safety property of the model.  A network either runs one
 forced measurement branch or, built with :func:`build_batch`, holds every
 branch of many inputs as rows of one array.
 
+Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
+last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
+Such a gate acts in place on two basic-index views of the register, the
+target at 0 and at 1 with every control at 1: b = X swaps them, a diagonal b
+scales them and any other b mixes them.  A correction in a batch acts on the
+same views restricted to the rows whose outcome parity is 1.  Any other gate
+goes through the dense kernel :func:`~telegate.statevector._apply_matrix`.
+
 Register layout
 ---------------
 Qubits carry stable string labels; global indices shift as measured qubits
@@ -21,15 +29,20 @@ right before use.  With n parties (party n is the target):
   forward Bell half and ``r{i+1}`` the matching half held by party i+1.
 
 At n = 3 these orderings coincide with the seven-qubit registers used
-throughout the protocol transcriptions.
+throughout the protocol transcriptions.  :func:`build_network` and
+:func:`build_batch` keep this layout.  The verifier's batch
+(:func:`_data_batch`) starts from the data qubits ``d1 ... dn`` alone and
+appends each Bell pair's two halves at the end of the register when one of
+its labels is first resolved, so early operations act on smaller arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,12 +75,13 @@ class TopologyKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class BellEdge:
-    """One distributed Bell pair, with build-time global qubit indices."""
+    """One distributed Bell pair: ``party_a`` holds the half labelled
+    ``label_a`` and ``party_b`` the half labelled ``label_b``."""
 
     party_a: int
-    qubit_a: int
+    label_a: str
     party_b: int
-    qubit_b: int
+    label_b: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,23 +156,149 @@ class Unforced:
 
 
 def _row_norms2(amps: np.ndarray) -> np.ndarray:
-    # A forced measurement of the last qubit leaves a strided view.
     flat = np.ascontiguousarray(amps).view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _measured(amps: np.ndarray, q: int, basis: MeasurementBasis) -> np.ndarray:
-    """The register as (rows, outcome, ...) in the basis qubit ``q`` is measured in."""
+def _measured(
+    amps: np.ndarray, q: int, basis: MeasurementBasis, outcomes: Sequence[int] = (0, 1)
+) -> np.ndarray:
+    """A new ``(rows, len(outcomes), ...)`` array: each row projected onto each
+    of ``outcomes`` of qubit ``q`` in ``basis``, unnormalized, ``q`` removed."""
     rows = amps.shape[0]
     cube = amps.reshape(rows, 1 << q, 2, -1)
-    if basis is MeasurementBasis.COMPUTATIONAL:
-        return cube.transpose(0, 2, 1, 3)
     zero, one = cube[:, :, 0], cube[:, :, 1]
-    out = np.empty((rows, 2) + zero.shape[1:], dtype=np.complex128)
-    np.add(zero, one, out=out[:, 0])
-    np.subtract(zero, one, out=out[:, 1])
-    out *= _SQRT_HALF
+    out = np.empty((rows, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
+    for k, outcome in enumerate(outcomes):
+        if basis is MeasurementBasis.COMPUTATIONAL:
+            out[:, k] = cube[:, :, outcome]
+        elif outcome == 0:
+            np.add(zero, one, out=out[:, k])
+        else:
+            np.subtract(zero, one, out=out[:, k])
+    if basis is MeasurementBasis.HADAMARD:
+        out *= _SQRT_HALF
     return out
+
+
+class _Block(NamedTuple):
+    """The one-qubit block b of a gate I ⊕ b, and how it acts."""
+
+    b: np.ndarray
+    swap: bool  # b is X
+    diagonal: bool
+
+
+_X_BLOCK = np.array([[0, 1], [1, 0]])
+_EYE2 = np.eye(2)
+
+
+@functools.lru_cache(maxsize=32)
+def _block(gate: Gate) -> _Block | None:
+    """The block of ``gate`` if it is I ⊕ b (controls leading), else ``None``.
+
+    Gates compare by identity and their matrices are read-only, so each
+    gate is classified once.
+    """
+    m = gate.matrix
+    rest = m.shape[0] - 2
+    if not (
+        np.array_equal(m[:rest, :rest], np.eye(rest))
+        and not m[:rest, rest:].any()
+        and not m[rest:, :rest].any()
+    ):
+        return None
+    b = m[rest:, rest:]
+    return _Block(b, bool(np.array_equal(b, _X_BLOCK)), not (b[0, 1] or b[1, 0]))
+
+
+def _act(v0: np.ndarray, v1: np.ndarray, block: _Block, parity: np.ndarray | None) -> None:
+    """(v0, v1) <- b (v0, v1) in place; with ``parity``, only where it is true."""
+    b = block.b
+    if parity is None and block.swap:
+        held = v0.copy()
+        v0[...] = v1
+        v1[...] = held
+        return
+    if parity is not None:
+        b = np.where(parity[..., None, None], b, _EYE2)
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    if block.diagonal:
+        if block.b[0, 0] != 1:
+            v0 *= b00
+        if block.b[1, 1] != 1:
+            v1 *= b11
+        return
+    held = v0.copy()
+    v0 *= b00
+    v0 += b01 * v1
+    v1 *= b11
+    v1 += b10 * held
+
+
+def _parity(splits: int, unforced: list[int], flip: int) -> np.ndarray:
+    """The outcome parity of each row, over axes ``(inputs, bit 0, ..., bit splits-1)``
+    of length 1 except at the ``unforced`` bits, XOR ``flip``."""
+    parity = np.full((1,) * (1 + splits), bool(flip))
+    for j in unforced:
+        shape = [1] * (1 + splits)
+        shape[1 + j] = 2
+        parity = parity ^ np.array([False, True]).reshape(shape)
+    return parity
+
+
+def _apply(
+    amps: np.ndarray,
+    num_qubits: int,
+    gate: Gate,
+    targets: Sequence[int],
+    splits: int = 0,
+    bits: Sequence[int | Unforced] | None = None,
+) -> np.ndarray:
+    """Apply ``gate`` on ``targets`` to the ``(rows, 2^num_qubits)`` register.
+
+    With ``bits``, only the rows whose XOR of those outcome bits is 1: a
+    forced bit counts for every row, and :class:`Unforced` bit ``j`` is bit
+    ``splits - 1 - j`` of the row's branch index.  A gate I ⊕ b acts in
+    place on views; any other gate is applied densely.  Returns the register.
+    """
+    unforced: list[int] = []
+    flip = 0
+    for bit in bits or ():
+        if isinstance(bit, Unforced):
+            unforced.append(bit.index)
+        else:
+            flip ^= bit
+    if bits is not None and not unforced and not flip:
+        return amps
+    block = _block(gate)
+    if block is None:
+        out = _apply_matrix(amps, num_qubits, gate.matrix, targets)
+        if not unforced:
+            return out
+        shape = (amps.shape[0] >> splits,) + (2,) * splits
+        fire = np.broadcast_to(_parity(splits, unforced, flip), shape).reshape(-1)
+        np.copyto(amps, out, where=fire[:, None])
+        return amps
+    amps = np.ascontiguousarray(amps)  # so that the reshape below is a view
+    lead = (amps.shape[0] >> splits,) + (2,) * splits if unforced else (amps.shape[0],)
+    cube = amps.reshape(lead + (2,) * num_qubits)
+    index: list = [slice(None)] * cube.ndim
+    for control in targets[:-1]:
+        index[len(lead) + control] = 1
+    parity = None
+    if len(unforced) == 1:
+        index[1 + unforced[0]] = 1 ^ flip
+    elif unforced:
+        parity = _parity(splits, unforced, flip)
+        parity = parity.reshape(parity.shape + (1,) * (num_qubits - len(targets)))
+    target = len(lead) + targets[-1]
+    index[target] = 0
+    v0 = cube[tuple(index)]
+    index[target] = 1
+    v1 = cube[tuple(index)]
+    _act(v0, v1, block, parity)
+    return amps
 
 
 class Network:
@@ -202,6 +342,8 @@ class Network:
         self.trace: list[dict] = []
         self._splits = 0
         self._impossible = np.zeros(register.shape[0], dtype=bool)
+        # Bell pairs not yet in the register, by the label of either half.
+        self._pending: dict[str, BellEdge] = {}
 
     # -- register ------------------------------------------------------------
 
@@ -214,7 +356,8 @@ class Network:
 
     @property
     def register(self) -> np.ndarray:
-        """The ``(rows, 2^qubits)`` amplitude array, read-only."""
+        """The ``(rows, 2^qubits)`` amplitude array, as a read-only view;
+        gates act on the register in place, so later ones show through it."""
         view = self._amps.view()
         view.setflags(write=False)
         return view
@@ -232,11 +375,36 @@ class Network:
     # -- label/index bookkeeping ---------------------------------------
 
     def qubit_index(self, label: str) -> int:
-        """Current global index of the qubit with the given stable label."""
+        """Current global index of the qubit with the given stable label.
+
+        In the verifier's batch a Bell pair joins the register when either
+        of its labels is first resolved: its two halves are tensored in at
+        the end, ``label_a`` then ``label_b``.
+        """
+        if label in self._pending:
+            self._tensor_in(self._pending[label])
         try:
             return self._labels.index(label)
         except ValueError:
             raise KeyError(f"no live qubit labelled {label!r}") from None
+
+    def _tensor_in(self, edge: BellEdge) -> None:
+        rows = self._amps.shape[0]
+        self._amps = (self._amps[:, :, None] * _BELL).reshape(rows, -1)
+        self._labels += [edge.label_a, edge.label_b]
+        del self._pending[edge.label_a], self._pending[edge.label_b]
+
+    def _reorder_outcomes(self, axes: Sequence[int]) -> None:
+        """Permute the outcome bits of every row index: bit ``w`` of the new
+        order (most significant first) is bit ``axes[w]`` of the old one."""
+        if list(axes) == sorted(axes):
+            return
+        rows = self._amps.shape[0]
+        cube = (rows >> len(axes),) + (2,) * len(axes)
+        perm = (0, *(1 + a for a in axes))
+        amps = self._amps.reshape(cube + (-1,)).transpose(perm + (len(cube),))
+        self._amps = amps.reshape(rows, -1)
+        self._impossible = self._impossible.reshape(cube).transpose(perm).reshape(rows)
 
     def label_at(self, index: int) -> str:
         return self._labels[index]
@@ -263,7 +431,7 @@ class Network:
         """Apply a gate to qubits all held by ``party_id``."""
         targets = list(targets)
         self._check_gate(party_id, gate, targets)
-        self._amps = _apply_matrix(self._amps, len(self._labels), gate.matrix, targets)
+        self._amps = _apply(self._amps, len(self._labels), gate, targets)
         if not self.batched:
             labels = [self._labels[t] for t in targets]
             self.trace.append(
@@ -274,8 +442,8 @@ class Network:
         """Apply a gate iff the XOR of the bits ``party_id`` holds under ``tags`` is 1.
 
         On a forced branch this is :meth:`local_apply`, called only when the
-        parity is 1.  In a batch the gate acts on the rows whose parity is 1,
-        and ownership is checked whatever the rows.
+        parity is 1.  In a batch the gate acts in place on the rows whose
+        parity is 1, and ownership is checked whatever the rows.
         """
         bits = [self.read_cbit(party_id, tag) for tag in tags]
         if not self.batched:
@@ -284,17 +452,7 @@ class Network:
             return
         targets = list(targets)
         self._check_gate(party_id, gate, targets)
-        rows = np.arange(self._amps.shape[0])
-        parity = np.zeros(rows.size, dtype=np.int64)
-        for bit in bits:
-            if isinstance(bit, Unforced):
-                parity ^= (rows >> (self._splits - 1 - bit.index)) & 1
-            else:
-                parity ^= bit
-        fire = parity.astype(bool)
-        self._amps[fire] = _apply_matrix(
-            self._amps[fire], len(self._labels), gate.matrix, targets
-        )
+        self._amps = _apply(self._amps, len(self._labels), gate, targets, self._splits, bits)
 
     def local_measure(
         self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int | Unforced
@@ -323,7 +481,7 @@ class Network:
         else:
             if outcome not in (0, 1):
                 raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-            amps = _measured(self._amps, qubit, basis)[:, outcome].reshape(1, -1)
+            amps = _measured(self._amps, qubit, basis, (outcome,)).reshape(1, -1)
             probability = float(_row_norms2(amps)[0])
             self.trace.append(
                 {
@@ -339,7 +497,7 @@ class Network:
                 raise ImpossibleBranchError(
                     f"outcome {outcome} on qubit {label} has probability {probability:.3e}"
                 )
-            amps = amps / math.sqrt(probability)
+            amps /= math.sqrt(probability)
         self._amps = amps
         del self._labels[qubit]
         del self._owner[label]
@@ -415,7 +573,28 @@ def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Ne
     return _build(kind, n, inputs, batched=True)
 
 
-def _build(kind: TopologyKind, n: int, inputs: Sequence[StateVector], batched: bool) -> Network:
+def _data_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
+    """Like :func:`build_batch`, but the register starts as the data qubits
+    ``d1 ... dn`` alone; each Bell pair is tensored in at the end of the
+    register when one of its labels is first resolved
+    (:meth:`Network.qubit_index`).  The ledger counts all n-1 pairs."""
+    return _build(kind, n, inputs, batched=True, lazy=True)
+
+
+def _bell_edges(kind: TopologyKind, n: int) -> tuple[BellEdge, ...]:
+    """The n-1 Bell pairs of a topology, in order of the control party."""
+    if kind is TopologyKind.PARALLEL:
+        return tuple(BellEdge(i, f"e{i}", n, f"t{i}") for i in range(1, n))
+    return tuple(BellEdge(i, f"f{i}", i + 1, f"r{i + 1}") for i in range(1, n))
+
+
+def _build(
+    kind: TopologyKind,
+    n: int,
+    inputs: Sequence[StateVector],
+    batched: bool,
+    lazy: bool = False,
+) -> Network:
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
     check_register_size(n)
@@ -425,56 +604,39 @@ def _build(kind: TopologyKind, n: int, inputs: Sequence[StateVector], batched: b
     if not inputs:
         raise ValueError("need at least one input state")
 
-    if kind is TopologyKind.PARALLEL:
-        layout = _parallel_layout(n)
-        pair_labels = [(f"e{i}", f"t{i}") for i in range(1, n)]
-    else:
-        layout = _series_layout(n)
-        pair_labels = [(f"f{i}", f"r{i + 1}") for i in range(1, n)]
+    edges = _bell_edges(kind, n)
+    owner = {f"d{i}": i for i in range(1, n + 1)}
+    for edge in edges:
+        owner[edge.label_a] = edge.party_a
+        owner[edge.label_b] = edge.party_b
 
     rows = len(inputs)
-    combined = np.stack([state.amplitudes for state in inputs])
-    for _ in range(n - 1):
-        combined = (combined[:, :, None] * _BELL).reshape(rows, -1)
-    tensor_order = [f"d{i}" for i in range(1, n + 1)]
-    for a, b in pair_labels:
-        tensor_order += [a, b]
-    source = {lbl: axis for axis, lbl in enumerate(tensor_order, start=1)}
-    cube = combined.reshape((rows,) + (2,) * len(layout))
-    register = cube.transpose([0] + [source[lbl] for lbl in layout]).reshape(rows, -1)
-    position = {lbl: pos for pos, lbl in enumerate(layout)}
-
-    owner: dict[str, int] = {}
-    for i in range(1, n + 1):
-        owner[f"d{i}"] = i
-    if kind is TopologyKind.PARALLEL:
-        for i in range(1, n):
-            owner[f"e{i}"] = i
-            owner[f"t{i}"] = n
-        edges = tuple(
-            BellEdge(i, position[f"e{i}"], n, position[f"t{i}"]) for i in range(1, n)
-        )
-    else:
-        for i in range(1, n):
-            owner[f"f{i}"] = i
-            owner[f"r{i + 1}"] = i + 1
-        edges = tuple(
-            BellEdge(i, position[f"f{i}"], i + 1, position[f"r{i + 1}"])
-            for i in range(1, n)
-        )
+    register = np.stack([state.amplitudes for state in inputs])
+    labels = [f"d{i}" for i in range(1, n + 1)]
+    if not lazy:
+        tensor_order = labels + [lbl for e in edges for lbl in (e.label_a, e.label_b)]
+        for _ in edges:
+            register = (register[:, :, None] * _BELL).reshape(rows, -1)
+        source = {lbl: axis for axis, lbl in enumerate(tensor_order, start=1)}
+        labels = _parallel_layout(n) if kind is TopologyKind.PARALLEL else _series_layout(n)
+        cube = register.reshape((rows,) + (2,) * len(labels))
+        register = cube.transpose([0] + [source[lbl] for lbl in labels]).reshape(rows, -1)
 
     parties = {
         pid: Party(pid, Role.TARGET if pid == n else Role.CONTROL)
         for pid in range(1, n + 1)
     }
-    return Network(
+    net = Network(
         kind,
         n,
         register,
-        list(layout),
+        labels,
         owner,
         parties,
         Topology(kind, n, edges),
         CostLedger(ebits=n - 1, cbits=0),
         batched=batched,
     )
+    if lazy:
+        net._pending = {label: e for e in edges for label in (e.label_a, e.label_b)}
+    return net

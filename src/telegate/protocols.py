@@ -14,6 +14,14 @@ every outcome is left :class:`~telegate.network.Unforced` and one run on a
 batched network covers all branches.  :func:`measurement_schedule` reads the
 same list, so the schedule cannot drift from the run.
 
+A forced branch runs the list in written order, which is the order its trace
+records.  A batch runs it in a topological order of the same list: an op
+follows every earlier op that shares one of its qubits and every measurement
+whose outcome it reads, and among the ready ops the one touching the
+lowest-numbered Bell pair runs first.  Each pair's ops then run together, so
+a batch that tensors pairs in at first use keeps its register small until
+the last pair.  The batch's outcome bits are then put back in written order.
+
 Families
 --------
 * ``parallel-cu`` -- every control party shares a Bell pair with the target;
@@ -29,6 +37,8 @@ Families
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -36,7 +46,7 @@ from typing import Sequence
 from .errors import InvolutionRequired, TopologyMismatch
 from .gates import Gate, controlled, pauli_x, pauli_z
 from .gates import validate as validate_gate
-from .network import Network, TopologyKind, Unforced, check_register_size
+from .network import Network, TopologyKind, Unforced, _bell_edges, check_register_size
 from .statevector import MeasurementBasis, StateVector, apply_gate
 
 _X = pauli_x()
@@ -174,52 +184,76 @@ _OPS_BY_FAMILY = {
 }
 
 
-def _protocol_ops(spec: ProtocolSpec) -> list[Op]:
-    """The fixed, branch-independent operation list of ``spec``'s protocol."""
-    return _OPS_BY_FAMILY[spec.family](spec.n, controlled(spec.payload, 1))
+@functools.lru_cache(maxsize=8)
+def _checked_ops(spec: ProtocolSpec, enforce_involution: bool) -> tuple[Op, ...]:
+    """Validate ``spec`` and build its fixed, branch-independent operation
+    list, once per spec among the eight most recently used."""
+    spec.validate(enforce_involution=enforce_involution)
+    return tuple(_OPS_BY_FAMILY[spec.family](spec.n, controlled(spec.payload, 1)))
+
+
+def _touched(op: Op) -> tuple[str, ...]:
+    return (op.qubit,) if isinstance(op, Measure) else op.qubits
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The order a batch runs ``family``'s ops in, and how to undo it.
+
+    Returns the op indices in run order, and ``axes``: outcome bit ``w`` in
+    written order is bit ``axes[w]`` in run order.  The payload does not
+    change the list's shape, so this is worked out once per (family, n).
+    """
+    ops = _OPS_BY_FAMILY[family](n, _CX)
+    pair = {}
+    for i, edge in enumerate(_bell_edges(topology_for(family), n)):
+        pair[edge.label_a] = pair[edge.label_b] = i
+    successors: list[list[int]] = [[] for _ in ops]
+    waiting = [0] * len(ops)
+    last: dict[str, int] = {}
+    measured_at: dict[str, int] = {}
+    for j, op in enumerate(ops):
+        before = {last[q] for q in _touched(op) if q in last}
+        if isinstance(op, LocalGate):
+            before |= {measured_at[tag] for tag in op.tags}
+        else:
+            measured_at[op.qubit] = j
+        for i in before:
+            successors[i].append(j)
+        waiting[j] = len(before)
+        last.update((q, j) for q in _touched(op))
+
+    def key(j: int) -> tuple[int, int]:
+        op = ops[j]
+        labels = _touched(op) + (op.tags if isinstance(op, LocalGate) else ())
+        return min((pair[q] for q in labels if q in pair), default=-1), j
+
+    ready = [key(j) for j in range(len(ops)) if not waiting[j]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, j = heapq.heappop(ready)
+        order.append(j)
+        for k in successors[j]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                heapq.heappush(ready, key(k))
+    run = [j for j in order if isinstance(ops[j], Measure)]
+    written = [j for j, op in enumerate(ops) if isinstance(op, Measure)]
+    return tuple(order), tuple(run.index(j) for j in written)
 
 
 def measurement_schedule(spec: ProtocolSpec) -> list[tuple[int, str, MeasurementBasis]]:
     """The fixed, branch-independent (party, qubit label, basis) sequence."""
-    ops = _protocol_ops(spec)
+    ops = _OPS_BY_FAMILY[spec.family](spec.n, controlled(spec.payload, 1))
     return [(op.party, op.qubit, op.basis) for op in ops if isinstance(op, Measure)]
 
 
-def run_protocol(
-    spec: ProtocolSpec,
-    net: Network,
-    branch: Sequence[int] | None,
-    *,
-    enforce_involution: bool = True,
-) -> StateVector | None:
-    """Interpret the operation list of ``spec`` on ``net``.
-
-    With a branch, the network runs that forced branch and its final state is
-    returned.  With ``branch=None`` every outcome is left unforced: the network
-    must be a batch (see :func:`~telegate.network.build_batch`), which then
-    holds every branch of every input, and ``None`` is returned.
-
-    ``enforce_involution=False`` skips the series-ch payload certificate; it
-    exists so the verification layer can demonstrate that non-involutory
-    payloads break determinism against the simultaneous-gate oracle.
-    """
-    kind = topology_for(spec.family)
-    if net.topology.kind is not kind or net.n != spec.n:
-        raise TopologyMismatch(
-            f"{spec.family.value} n={spec.n} needs a {kind.value} network of {spec.n} "
-            f"parties, got a {net.topology.kind.value} network of {net.n}"
-        )
-    spec.validate(enforce_involution=enforce_involution)
-    count = spec.num_measurements
-    if branch is None:
-        branch = [Unforced(k) for k in range(count)]
-    else:
-        branch = list(branch)
-        if len(branch) != count or any(b not in (0, 1) for b in branch):
-            raise ValueError(f"branch needs {count} outcome bits of 0 or 1, got {branch!r}")
+def _interpret(ops: Sequence[Op], net: Network, branch: Sequence[int | Unforced]) -> None:
+    """Run ``ops`` on ``net``, taking the outcomes of its measurements in turn
+    from ``branch``."""
     outcomes = iter(branch)
-
-    for op in _protocol_ops(spec):
+    for op in ops:
         if isinstance(op, Measure):
             bit = next(outcomes)
             net.local_measure(op.party, net.qubit_index(op.qubit), op.basis, bit)
@@ -231,6 +265,45 @@ def run_protocol(
             net.apply_if(op.party, op.gate, targets, list(op.tags))
         else:
             net.local_apply(op.party, op.gate, targets)
+
+
+def run_protocol(
+    spec: ProtocolSpec,
+    net: Network,
+    branch: Sequence[int] | None,
+    *,
+    enforce_involution: bool = True,
+) -> StateVector | None:
+    """Interpret the operation list of ``spec`` on ``net``.
+
+    With a branch, the network runs that forced branch in written order and
+    its final state is returned.  With ``branch=None`` every outcome is left
+    unforced: the network must be a batch (see
+    :func:`~telegate.network.build_batch`), which then holds every branch of
+    every input, rows in ``itertools.product`` order, and ``None`` is
+    returned.
+
+    ``enforce_involution=False`` skips the series-ch payload certificate; it
+    exists so the verification layer can demonstrate that non-involutory
+    payloads break determinism against the simultaneous-gate oracle.
+    """
+    kind = topology_for(spec.family)
+    if net.topology.kind is not kind or net.n != spec.n:
+        raise TopologyMismatch(
+            f"{spec.family.value} n={spec.n} needs a {kind.value} network of {spec.n} "
+            f"parties, got a {net.topology.kind.value} network of {net.n}"
+        )
+    ops = _checked_ops(spec, enforce_involution)
+    count = spec.num_measurements
+    if branch is None:
+        order, axes = _batch_order(spec.family, spec.n)
+        _interpret([ops[j] for j in order], net, [Unforced(k) for k in range(count)])
+        net._reorder_outcomes(axes)
+    else:
+        branch = list(branch)
+        if len(branch) != count or any(b not in (0, 1) for b in branch):
+            raise ValueError(f"branch needs {count} outcome bits of 0 or 1, got {branch!r}")
+        _interpret(ops, net, branch)
     return net.state
 
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import CostLedger, build_batch, register_qubits
+from .network import CostLedger, _data_batch, register_qubits
 from .protocols import (
     ProtocolFamily,
     ProtocolSpec,
+    _checked_ops,
     oracle_effect,
     run_protocol,
     topology_for,
@@ -49,18 +50,33 @@ class BranchResult:
     impossible: bool = False
 
 
+def _stored(values: np.ndarray) -> np.ndarray:
+    """``values``, or, when every entry is equal, that one entry broadcast
+    over the same shape as a read-only view."""
+    if values.size and (values == values.flat[0]).all():
+        return np.broadcast_to(values.flat[0], values.shape)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class BranchTable(Sequence):
     """Every branch of one input, kept as arrays in outcome order.
 
     Indexing builds the :class:`BranchResult`; outcomes run in
-    ``itertools.product((0, 1), repeat=k)`` order.
+    ``itertools.product((0, 1), repeat=k)`` order.  A deterministic protocol
+    gives every branch the same probability and fidelity, bit for bit; such
+    a column is kept as one value broadcast over the branches, so a report
+    holds O(1) memory, not O(branches).
     """
 
     probabilities: np.ndarray
     fidelities: np.ndarray
     impossible: np.ndarray
     ledger: CostLedger
+
+    def __post_init__(self) -> None:
+        for name in ("probabilities", "fidelities", "impossible"):
+            object.__setattr__(self, name, _stored(getattr(self, name)))
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -116,8 +132,11 @@ def _force_all(
     spec: ProtocolSpec, inputs: Sequence[StateVector], enforce_involution: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, CostLedger]:
     """Every branch of every input in one run: (inputs, branches) arrays of
-    probability, fidelity and impossibility, and the run's ledger."""
-    net = build_batch(topology_for(spec.family), spec.n, inputs)
+    probability, fidelity and impossibility, and the run's ledger.
+
+    The batch starts from the data qubits and takes each Bell pair in at its
+    first use, so ops before the last pair act on smaller registers."""
+    net = _data_batch(topology_for(spec.family), spec.n, inputs)
     run_protocol(spec, net, None, enforce_involution=enforce_involution)
     shape = (len(inputs), 1 << spec.num_measurements)
     probabilities = net.probabilities.reshape(shape)
@@ -142,7 +161,7 @@ def enumerate_branches(
     Impossible branches (a measurement with probability below 1e-12) are
     retained with their flag set and fidelity 0 rather than raising.
     """
-    spec.validate(enforce_involution=enforce_involution)
+    _checked_ops(spec, enforce_involution)
     probabilities, fidelities, impossible, ledger = _force_all(
         spec, [input_state], enforce_involution
     )
@@ -165,7 +184,7 @@ def verify_inputs(
     ignored: one pass covers every branch, so there is no per-branch work
     to spread over threads.
     """
-    spec.validate()
+    _checked_ops(spec, True)
     inputs = list(inputs)
     uniform = 2.0 ** -spec.num_measurements
     per_pass = max(1, AMPLITUDE_BUDGET >> register_qubits(spec.n))
@@ -206,7 +225,7 @@ def verify_protocol(
     seed: int | None = 0,
 ) -> VerificationReport:
     """Run the full sweep: every computational basis input plus random states."""
-    spec.validate()
+    _checked_ops(spec, True)
     rng = np.random.default_rng(seed)
     inputs = _all_basis_states(spec.n)
     inputs += [random_state(spec.n, rng) for _ in range(num_random_inputs)]

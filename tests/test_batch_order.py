@@ -1,0 +1,149 @@
+"""The verifier's batch: ops in a derived order, Bell pairs tensored in at first use.
+
+``verify._force_all`` runs on a network that starts from the data qubits and
+in an order derived from the op list.  Its probabilities, fidelities,
+impossibility flags and ledger must equal those of an eager
+``build_batch`` run in written order, and its register must stay small
+until the pairs it needs are in.
+"""
+
+import numpy as np
+import pytest
+
+from telegate import (
+    MeasurementBasis,
+    ProtocolFamily,
+    ProtocolSpec,
+    basis_state,
+    controlled,
+    oracle_effect,
+    pauli_x,
+    random_involution,
+    random_state,
+    random_unitary,
+    topology_for,
+)
+from telegate import verify
+from telegate.network import Network, TopologyKind, Unforced, build_batch
+from telegate.protocols import LocalGate, Measure, _batch_order, _checked_ops, _interpret
+
+PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
+SERIES_CH = ProtocolFamily.SERIES_SIMULTANEOUS_CH
+SERIES_NCU = ProtocolFamily.SERIES_N_CONTROLLED_U
+ALL_FAMILIES = [PARALLEL, SERIES_CH, SERIES_NCU]
+CX = controlled(pauli_x(), 1)
+
+ATOL = 1e-12
+
+
+def _written_order_run(spec, inputs, enforce_involution):
+    """``_force_all``'s arrays from an eager batch run in written order."""
+    net = build_batch(topology_for(spec.family), spec.n, inputs)
+    ops = _checked_ops(spec, enforce_involution)
+    _interpret(ops, net, [Unforced(k) for k in range(spec.num_measurements)])
+    shape = (len(inputs), 1 << spec.num_measurements)
+    probabilities = net.probabilities.reshape(shape)
+    final = net.register.reshape(shape + (-1,))
+    targets = np.stack([oracle_effect(spec, state).amplitudes for state in inputs])
+    overlaps = np.abs(np.einsum("mi,mbi->mb", targets.conj(), final)) ** 2
+    fidelities = np.minimum(overlaps / probabilities, 1.0)
+    return probabilities, fidelities, net.impossible.reshape(shape), net.ledger
+
+
+def _assert_same_as_written_order(spec, inputs, enforce_involution=True):
+    lazy = verify._force_all(spec, inputs, enforce_involution)
+    eager = _written_order_run(spec, inputs, enforce_involution)
+    for got, expected in zip(lazy[:3], eager[:3]):
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
+    assert (lazy[3].ebits, lazy[3].cbits) == (eager[3].ebits, eager[3].cbits)
+    return lazy
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lazy_pairs_match_the_eager_written_order_run(family, n):
+    rng = np.random.default_rng(300 + n)
+    payload = random_involution(n) if family is SERIES_CH else random_unitary(n)
+    bits = format(int(rng.integers(1 << n)), f"0{n}b")
+    inputs = [basis_state(n, bits), random_state(n, rng)]
+    _assert_same_as_written_order(ProtocolSpec(family, n, payload), inputs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_non_involutory_series_ch_matches_the_eager_run(n):
+    spec = ProtocolSpec(SERIES_CH, n, random_unitary(310 + n))
+    inputs = [basis_state(n, "1" * n), random_state(n, 320 + n)]
+    _, fidelities, _, _ = _assert_same_as_written_order(spec, inputs, enforce_involution=False)
+    assert fidelities.min() < 1 - 1e-3
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batch_order_is_a_topological_order(family, n):
+    ops = _checked_ops(ProtocolSpec(family, n, random_unitary(0)), False)
+    order, axes = _batch_order(family, n)
+    assert sorted(order) == list(range(len(ops)))
+    position = {j: p for p, j in enumerate(order)}
+    measured_at = {op.qubit: j for j, op in enumerate(ops) if isinstance(op, Measure)}
+    for j, op in enumerate(ops):
+        touched = {op.qubit} if isinstance(op, Measure) else set(op.qubits)
+        for i in range(j):
+            earlier = ops[i]
+            shared = {earlier.qubit} if isinstance(earlier, Measure) else set(earlier.qubits)
+            if touched & shared:
+                assert position[i] < position[j], (ops[i], op)
+        if isinstance(op, LocalGate):
+            for tag in op.tags:
+                assert position[measured_at[tag]] < position[j], (tag, op)
+    # axes put the run-order outcome bits back in written order
+    written = [j for j, op in enumerate(ops) if isinstance(op, Measure)]
+    run = [j for j in order if isinstance(ops[j], Measure)]
+    assert [run[a] for a in axes] == written
+
+
+def test_parallel_cu_register_stays_small_until_the_second_pair(monkeypatch):
+    n, m = 5, 3
+    seen = []
+
+    def recording(method):
+        def wrapper(self, *args, **kwargs):
+            seen.append((self.register.size, bool({"e2", "t2"} & set(self._labels))))
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("local_apply", "apply_if", "local_measure"):
+        monkeypatch.setattr(Network, name, recording(getattr(Network, name)))
+    spec = ProtocolSpec(PARALLEL, n, random_unitary(330))
+    verify._force_all(spec, [random_state(n, 331 + k) for k in range(m)], True)
+    first = next(k for k, (_, second_pair_in) in enumerate(seen) if second_pair_in)
+    # pair 1's six ops run first, each on at most m * 2^(n+2) amplitudes
+    assert first >= 6
+    assert max(size for size, _ in seen[:first]) <= m << (n + 2)
+    assert max(size for size, _ in seen) == m << (3 * n - 2)
+
+
+def test_reordered_outcome_bits_are_the_written_order_measurements():
+    # Three measurements whose split rows all differ, one of them impossible
+    # on the basis input; taken in written order, and in the order 2, 0, 1
+    # followed by the reordering that puts the bits back.
+    comp, had = MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD
+    written = [("d1", comp), ("e1", had), ("t2", comp)]
+    inputs = [basis_state(3, "101"), random_state(3, 340)]
+    nets = []
+    for order in ([0, 1, 2], [2, 0, 1]):
+        net = build_batch(TopologyKind.PARALLEL, 3, inputs)
+        net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("e1")])
+        for k, w in enumerate(order):
+            label, basis = written[w]
+            q = net.qubit_index(label)
+            owner = next(p for p in net.parties if q in net.held_qubits(p))
+            net.local_measure(owner, q, basis, Unforced(k))
+        nets.append(net)
+    in_order, reordered = nets
+    reordered._reorder_outcomes((1, 2, 0))
+    assert in_order.impossible.any()
+    np.testing.assert_array_equal(reordered.impossible, in_order.impossible)
+    np.testing.assert_allclose(reordered.register, in_order.register, rtol=0, atol=ATOL)
+

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from telegate import LocalityViolation
-from telegate.cli import main
+from telegate.cli import MAX_RANDOM_INPUTS, main
 
 
 def test_run_passes_and_writes_report_and_trace(tmp_path, capsys):
@@ -82,6 +82,11 @@ def test_series_ch_rejects_non_involutory_payload(capsys):
         ["run", "--family", "parallel-cu", "--payload", "matrix:[[[1,null],0],[0,1]]"],
         ["run", "--family", "parallel-cu", "--payload", "matrix:[[1,0],5]"],
         ["run", "--family", "parallel-cu", "--seed", "-1"],
+        # one random input over the limit is refused before any input is built
+        [
+            "run", "--family", "parallel-cu", "--n", "2",
+            "--inputs", f"random:{MAX_RANDOM_INPUTS + 1}",
+        ],
     ],
 )
 def test_config_errors_exit_2(argv, capsys):

@@ -1,9 +1,12 @@
 """LOCC network model: ownership, Bell distribution, and the message bus."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from telegate import (
+    Gate,
     ImpossibleBranchError,
     LocalityViolation,
     MeasurementBasis,
@@ -14,10 +17,14 @@ from telegate import (
     basis_state,
     build_network,
     controlled,
+    hadamard,
     pauli_x,
+    pauli_z,
     random_state,
+    random_unitary,
 )
-from telegate.network import Unforced, build_batch
+from telegate.network import Unforced, _apply, build_batch
+from telegate.statevector import _apply_matrix
 from conftest import (
     computational_projector_probability,
     hadamard_projector_probability,
@@ -437,3 +444,81 @@ class TestIndependentNetworks:
         with pytest.raises(ValueError):
             net.state.amplitudes[0] = 1.0
         np.testing.assert_array_equal(net.state.amplitudes, state.amplitudes)
+
+
+# Every gate kind the protocols use, a Haar controlled-payload, and a
+# two-qubit gate that is not of the form I + b, which takes the dense path.
+_SWAP = Gate(2, np.eye(4)[[0, 2, 1, 3]], "SWAP")
+KERNEL_GATES = {
+    "X": pauli_x(),
+    "Z": pauli_z(),
+    "CX": controlled(pauli_x(), 1),
+    "CZ": controlled(pauli_z(), 1),
+    "CCX": controlled(pauli_x(), 2),
+    "CH": controlled(hadamard(), 1),
+    "CU": controlled(random_unitary(17), 1),
+    "SWAP": _SWAP,
+}
+
+
+def _random_rows(rng, rows, num_qubits):
+    shape = (rows, 1 << num_qubits)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestKernels:
+    """The in-place view kernel against the dense reference ``_apply_matrix``."""
+
+    @pytest.mark.parametrize("rows", [1, 12])
+    @pytest.mark.parametrize("num_qubits", [5, 6, 7])
+    @pytest.mark.parametrize("name", list(KERNEL_GATES))
+    def test_every_placement_matches_the_dense_kernel(self, name, num_qubits, rows, rng):
+        gate = KERNEL_GATES[name]
+        amps = _random_rows(rng, rows, num_qubits)
+        placements = list(itertools.permutations(range(num_qubits), gate.arity))
+        # the last qubit as target and as control, and a control above the target
+        assert any(p[-1] == num_qubits - 1 for p in placements)
+        assert gate.arity == 1 or any(p[0] > p[-1] for p in placements)
+        for targets in placements:
+            expected = _apply_matrix(amps, num_qubits, gate.matrix, list(targets))
+            got = _apply(amps.copy(), num_qubits, gate, list(targets))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(KERNEL_GATES))
+    def test_masked_corrections_match_a_boolean_gather(self, name, rng):
+        gate = KERNEL_GATES[name]
+        splits, num_qubits, inputs = 3, 5, 2
+        rows = inputs << splits
+        index = np.arange(rows)
+        cases = [
+            [Unforced(1)],
+            [Unforced(2)],
+            [Unforced(0), Unforced(2)],
+            [Unforced(0), Unforced(1), Unforced(2)],
+            [Unforced(1), 0],
+            [Unforced(1), 1],
+            [1, Unforced(0), Unforced(2)],
+            [1],
+            [0],
+        ]
+        for bits in cases:
+            parity = np.zeros(rows, dtype=np.int64)
+            for bit in bits:
+                if isinstance(bit, Unforced):
+                    parity ^= (index >> (splits - 1 - bit.index)) & 1
+                else:
+                    parity ^= bit
+            fire = parity.astype(bool)
+            for targets in ([4, 0, 2], [1, 3, 4], [3, 2, 0]):
+                targets = targets[-gate.arity :]
+                amps = _random_rows(rng, rows, num_qubits)
+                expected = amps.copy()
+                expected[fire] = _apply_matrix(amps[fire], num_qubits, gate.matrix, targets)
+                got = _apply(amps.copy(), num_qubits, gate, targets, splits, bits)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_controlled_gates_act_in_place(self, rng):
+        amps = _random_rows(rng, 4, 5)
+        for gate in KERNEL_GATES.values():
+            if gate is not _SWAP:
+                assert _apply(amps, 5, gate, list(range(gate.arity))) is amps
