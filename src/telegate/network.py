@@ -4,16 +4,18 @@ A :class:`Network` owns the joint statevector, a qubit-ownership map, the
 entanglement topology, and a message bus that counts classical bits per
 (sender, recipient) delivery.  Local operations are gated by ownership: a
 party touching a qubit it does not hold raises :class:`LocalityViolation`,
-which is the core safety property of the model.  A network either runs one
-forced measurement branch or, built with :func:`build_batch`, holds every
-branch of many inputs as rows of one array.
+which is the core safety property of the model.  The register holds one row
+per input and branch: a measurement given a forced outcome keeps that half of
+every row, and one left :class:`Unforced` keeps both, so one run can hold
+every branch of many inputs.  Only a network from :func:`build_network`
+keeps a trace.
 
 Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
 last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
 Such a gate acts in place on two basic-index views of the register, the
 target at 0 and at 1 with every control at 1: b = X swaps them, a diagonal b
-scales them and any other b mixes them.  A correction in a batch acts on the
-same views restricted to the rows whose outcome parity is 1.  Any other gate
+scales them and any other b mixes them.  A correction acts on the same
+views restricted to the rows whose outcome parity is 1.  Any other gate
 goes through the dense kernel :func:`~telegate.statevector._apply_matrix`.
 
 Register layout
@@ -143,7 +145,7 @@ def check_register_size(n: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Unforced:
-    """A measurement outcome left open: a batched register keeps both values.
+    """A measurement outcome left open: every row splits in two, one per value.
 
     ``index`` counts the unforced measurements before this one.  It names the
     outcome's bit in the branch part of a row index, most significant first.
@@ -153,6 +155,11 @@ class Unforced:
 
     def __bool__(self) -> bool:
         raise TypeError("an unforced outcome has no single value; use Network.apply_if")
+
+
+def _is_bit(value) -> bool:
+    """True for an integer 0 or 1; a bool, a float or an :class:`Unforced` is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in (0, 1)
 
 
 def _row_norms2(amps: np.ndarray) -> np.ndarray:
@@ -304,22 +311,21 @@ def _apply(
 class Network:
     """Mutable protocol-execution context.
 
-    The register is one ``(rows, 2^qubits)`` array.  A network from
-    :func:`build_network` has one normalized row and runs one forced branch:
-    operations record a trace, and :attr:`state` reads the register.  A
-    network from :func:`build_batch` starts with one row per input and takes
-    only :class:`Unforced` outcomes: each measurement splits every row in
-    two, so after k measurements row ``input * 2^k + b`` holds branch ``b``
-    of that input (outcome bits in measurement order, first most
-    significant), unnormalized, its squared norm being the branch
-    probability.  A batch records no trace.  Ownership and inbox checks run
-    once per operation whatever the number of rows; ownership is read from
-    the label map, so it follows the register as measured qubits leave it.
+    The register is one ``(rows, 2^qubits)`` array, one row per input at
+    first.  A forced outcome keeps that half of every row and an
+    :class:`Unforced` one keeps both, so after k unforced measurements row
+    ``input * 2^k + b`` holds branch ``b`` of that input (outcome bits in
+    measurement order, first most significant).  Rows are never
+    renormalized: a row's squared norm is its branch probability.  Only a
+    network from :func:`build_network` (one row) keeps a ``trace``; a trace
+    names every outcome, so such a network takes only forced ones.
+    Ownership and inbox checks run once per operation whatever the rows and
+    bits; ownership is read from the label map, so it follows the register
+    as measured qubits leave it.
     """
 
     def __init__(
         self,
-        kind: TopologyKind,
         n: int,
         register: np.ndarray,
         labels: list[str],
@@ -327,10 +333,7 @@ class Network:
         parties: dict[int, Party],
         topology: Topology,
         ledger: CostLedger,
-        *,
-        batched: bool = False,
     ):
-        self.kind = kind
         self.n = n
         self._amps = register
         self._labels = labels
@@ -338,9 +341,10 @@ class Network:
         self.parties = parties
         self.topology = topology
         self.ledger = ledger
-        self.batched = batched
-        self.trace: list[dict] = []
+        self.trace: list[dict] | None = None
         self._splits = 0
+        # Each row's squared norm as of its last measurement; inputs are normalized.
+        self._norms2 = np.ones(register.shape[0])
         self._impossible = np.zeros(register.shape[0], dtype=bool)
         # Bell pairs not yet in the register, by the label of either half.
         self._pending: dict[str, BellEdge] = {}
@@ -349,10 +353,10 @@ class Network:
 
     @property
     def state(self) -> StateVector | None:
-        """The register of a forced branch; ``None`` for a batch."""
-        if self.batched:
+        """The register's one row, normalized; ``None`` when it has several."""
+        if self._amps.shape[0] != 1:
             return None
-        return StateVector(len(self._labels), self._amps[0])
+        return StateVector(len(self._labels), self._amps[0] / math.sqrt(self.probabilities[0]))
 
     @property
     def register(self) -> np.ndarray:
@@ -364,7 +368,7 @@ class Network:
 
     @property
     def probabilities(self) -> np.ndarray:
-        """Squared norm of each row: a batch's branch probabilities."""
+        """Squared norm of each row: its branch probability."""
         return _row_norms2(self._amps)
 
     @property
@@ -395,8 +399,8 @@ class Network:
         del self._pending[edge.label_a], self._pending[edge.label_b]
 
     def _reorder_outcomes(self, axes: Sequence[int]) -> None:
-        """Permute the outcome bits of every row index: bit ``w`` of the new
-        order (most significant first) is bit ``axes[w]`` of the old one."""
+        """Permute the unforced outcome bits of every row index: bit ``w`` of
+        the new order (most significant first) is bit ``axes[w]`` of the old one."""
         if list(axes) == sorted(axes):
             return
         rows = self._amps.shape[0]
@@ -404,6 +408,7 @@ class Network:
         perm = (0, *(1 + a for a in axes))
         amps = self._amps.reshape(cube + (-1,)).transpose(perm + (len(cube),))
         self._amps = amps.reshape(rows, -1)
+        self._norms2 = self._norms2.reshape(cube).transpose(perm).reshape(rows)
         self._impossible = self._impossible.reshape(cube).transpose(perm).reshape(rows)
 
     def label_at(self, index: int) -> str:
@@ -429,60 +434,57 @@ class Network:
 
     def local_apply(self, party_id: int, gate: Gate, targets: list[int]) -> None:
         """Apply a gate to qubits all held by ``party_id``."""
+        self._gate(party_id, gate, targets, None)
+
+    def apply_if(self, party_id: int, gate: Gate, targets: list[int], tags: list[str]) -> None:
+        """Apply a gate to the rows where the XOR of the bits ``party_id`` holds
+        under ``tags`` is 1 (a trace records it only then); ownership and
+        targets are checked whatever the bits."""
+        self._gate(party_id, gate, targets, tags)
+
+    def _gate(self, party_id: int, gate: Gate, targets: list[int], tags: list[str] | None) -> None:
         targets = list(targets)
         self._check_gate(party_id, gate, targets)
-        self._amps = _apply(self._amps, len(self._labels), gate, targets)
-        if not self.batched:
+        bits = None if tags is None else [self.read_cbit(party_id, tag) for tag in tags]
+        self._amps = _apply(self._amps, len(self._labels), gate, targets, self._splits, bits)
+        if self.trace is not None and (bits is None or sum(bits) % 2):
             labels = [self._labels[t] for t in targets]
             self.trace.append(
                 {"type": "gate", "party": party_id, "gate": gate.label, "qubits": labels}
             )
 
-    def apply_if(self, party_id: int, gate: Gate, targets: list[int], tags: list[str]) -> None:
-        """Apply a gate iff the XOR of the bits ``party_id`` holds under ``tags`` is 1.
-
-        On a forced branch this is :meth:`local_apply`, called only when the
-        parity is 1.  In a batch the gate acts in place on the rows whose
-        parity is 1, and ownership is checked whatever the rows.
-        """
-        bits = [self.read_cbit(party_id, tag) for tag in tags]
-        if not self.batched:
-            if sum(bits) % 2:
-                self.local_apply(party_id, gate, targets)
-            return
-        targets = list(targets)
-        self._check_gate(party_id, gate, targets)
-        self._amps = _apply(self._amps, len(self._labels), gate, targets, self._splits, bits)
-
     def local_measure(
         self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int | Unforced
     ) -> float | None:
-        """Measure ``qubit`` and discard it from the register.
+        """Measure ``qubit``, keep the half of every row that ``outcome`` names
+        (both halves for the next :class:`Unforced` one) and discard ``qubit``.
 
-        A forced branch projects onto ``outcome`` and renormalizes, returning
-        the outcome probability.  A batch takes the :class:`Unforced` outcome
-        next in order, splits every row in two and returns ``None``.
+        A kept row of conditional probability below 1e-12 is flagged
+        impossible; a forced outcome no row can take raises
+        :class:`ImpossibleBranchError` and leaves the register as it was.
+        Returns the conditional probability a traced network records, else ``None``.
         """
+        if not isinstance(basis, MeasurementBasis):
+            raise ValueError(f"basis must be a MeasurementBasis, got {basis!r}")
+        if isinstance(outcome, Unforced):
+            if self.trace is not None or outcome.index != self._splits:
+                expected = "a forced outcome" if self.trace is not None else Unforced(self._splits)
+                raise ValueError(f"this network needs {expected} here, got {outcome!r}")
+        elif not _is_bit(outcome):
+            raise ValueError(f"outcome must be an integer 0 or 1, got {outcome!r}")
         if not self._holds(party_id, qubit):
             raise LocalityViolation(f"party {party_id} does not hold qubit {qubit}")
         label = self._labels[qubit]
-        if self.batched:
-            if not isinstance(outcome, Unforced) or outcome.index != self._splits:
-                raise ValueError(
-                    f"a batch needs the unforced outcome {self._splits} here, got {outcome!r}"
-                )
-            amps = _measured(self._amps, qubit, basis).reshape(2 * self._amps.shape[0], -1)
-            norms = _row_norms2(amps)
-            parent = np.repeat(norms[0::2] + norms[1::2], 2)
-            self._impossible = np.repeat(self._impossible, 2) | (
-                norms < IMPOSSIBLE_CUTOFF * parent
-            )
-            self._splits += 1
-        else:
-            if outcome not in (0, 1):
-                raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-            amps = _measured(self._amps, qubit, basis, (outcome,)).reshape(1, -1)
-            probability = float(_row_norms2(amps)[0])
+        outcomes = (0, 1) if isinstance(outcome, Unforced) else (outcome,)
+        amps = _measured(self._amps, qubit, basis, outcomes).reshape(-1, self._amps.shape[1] >> 1)
+        norms2 = _row_norms2(amps)
+        parent = np.repeat(self._norms2, len(outcomes))
+        impossible = np.repeat(self._impossible, len(outcomes)) | (
+            norms2 < IMPOSSIBLE_CUTOFF * parent
+        )
+        probability = None
+        if self.trace is not None:
+            probability = float(norms2[0] / parent[0])
             self.trace.append(
                 {
                     "type": "measure",
@@ -493,15 +495,17 @@ class Network:
                     "probability": probability,
                 }
             )
-            if probability < IMPOSSIBLE_CUTOFF:
-                raise ImpossibleBranchError(
-                    f"outcome {outcome} on qubit {label} has probability {probability:.3e}"
-                )
-            amps /= math.sqrt(probability)
+        if len(outcomes) == 1 and impossible.all():
+            raise ImpossibleBranchError(
+                f"outcome {outcome} on qubit {label} is impossible in every row"
+            )
         self._amps = amps
+        self._norms2 = norms2
+        self._impossible = impossible
+        self._splits += len(outcomes) - 1
         del self._labels[qubit]
         del self._owner[label]
-        return None if self.batched else probability
+        return probability
 
     # -- classical bus ----------------------------------------------------
 
@@ -520,13 +524,15 @@ class Network:
                 raise ValueError(f"cbit must be 0 or 1, got {bit!r}")
         self.parties[recipient].inbox.append(ClassicalMessage(sender, recipient, bit, tag))
         self.ledger.cbits += 1
-        if not self.batched:
+        if self.trace is not None:
             self.trace.append(
                 {"type": "message", "sender": sender, "recipient": recipient, "bit": bit, "tag": tag}
             )
 
     def read_cbit(self, party_id: int, tag: str) -> int | Unforced:
         """Read (without consuming) the bit delivered to ``party_id`` under ``tag``."""
+        if party_id not in self.parties:
+            raise ValueError(f"unknown party {party_id}")
         for msg in self.parties[party_id].inbox:
             if msg.tag == tag:
                 return msg.bit
@@ -556,21 +562,21 @@ def build_network(
     """Distribute n-1 Bell pairs around the n-qubit input state.
 
     ``input_state`` holds the data qubits in party order (qubit i-1 belongs
-    to party i).  The returned network runs one forced branch; its register
-    follows the layout documented in the module docstring, and its ledger
-    already accounts for the n-1 distributed ebits.
+    to party i).  The returned network keeps a trace, so it takes forced
+    outcomes only; its register follows the module docstring's layout, and
+    its ledger already accounts for the n-1 distributed ebits.
     """
-    net = _build(kind, n, [input_state], batched=False)
+    net = _build(kind, n, [input_state])
+    net.trace = []
     return net, net.state
 
 
 def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
-    """Like :func:`build_network`, with one register row per input.
-
-    Every measurement on the result must leave its outcome :class:`Unforced`,
-    so one run of a protocol covers every branch of every input.
+    """Like :func:`build_network`, with one register row per input and no
+    trace.  A run of a protocol that leaves every outcome :class:`Unforced`
+    covers every branch of every input.
     """
-    return _build(kind, n, inputs, batched=True)
+    return _build(kind, n, inputs)
 
 
 def _data_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
@@ -578,7 +584,7 @@ def _data_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Ne
     ``d1 ... dn`` alone; each Bell pair is tensored in at the end of the
     register when one of its labels is first resolved
     (:meth:`Network.qubit_index`).  The ledger counts all n-1 pairs."""
-    return _build(kind, n, inputs, batched=True, lazy=True)
+    return _build(kind, n, inputs, lazy=True)
 
 
 def _bell_edges(kind: TopologyKind, n: int) -> tuple[BellEdge, ...]:
@@ -592,7 +598,6 @@ def _build(
     kind: TopologyKind,
     n: int,
     inputs: Sequence[StateVector],
-    batched: bool,
     lazy: bool = False,
 ) -> Network:
     if n < 2:
@@ -627,7 +632,6 @@ def _build(
         for pid in range(1, n + 1)
     }
     net = Network(
-        kind,
         n,
         register,
         labels,
@@ -635,7 +639,6 @@ def _build(
         parties,
         Topology(kind, n, edges),
         CostLedger(ebits=n - 1, cbits=0),
-        batched=batched,
     )
     if lazy:
         net._pending = {label: e for e in edges for label in (e.label_a, e.label_b)}

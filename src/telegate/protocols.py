@@ -11,16 +11,16 @@ delivered to that party, and the final state is returned on the data
 register (party order).  Branch outcomes are supplied up front so that the
 module above can enumerate all of them exhaustively; with no branch given,
 every outcome is left :class:`~telegate.network.Unforced` and one run on a
-batched network covers all branches.  :func:`measurement_schedule` reads the
-same list, so the schedule cannot drift from the run.
+batch covers all branches.  :func:`measurement_schedule` reads the same
+list, so the schedule cannot drift from the run.
 
 A forced branch runs the list in written order, which is the order its trace
-records.  A batch runs it in a topological order of the same list: an op
+records.  An unforced run takes a topological order of the same list: an op
 follows every earlier op that shares one of its qubits and every measurement
 whose outcome it reads, and among the ready ops the one touching the
 lowest-numbered Bell pair runs first.  Each pair's ops then run together, so
 a batch that tensors pairs in at first use keeps its register small until
-the last pair.  The batch's outcome bits are then put back in written order.
+the last pair.  The rows' outcome bits are then put back in written order.
 
 Families
 --------
@@ -46,7 +46,7 @@ from typing import Sequence
 from .errors import InvolutionRequired, TopologyMismatch
 from .gates import Gate, controlled, pauli_x, pauli_z
 from .gates import validate as validate_gate
-from .network import Network, TopologyKind, Unforced, _bell_edges, check_register_size
+from .network import Network, TopologyKind, Unforced, _bell_edges, _is_bit, check_register_size
 from .statevector import MeasurementBasis, StateVector, apply_gate
 
 _X = pauli_x()
@@ -276,9 +276,10 @@ def run_protocol(
 ) -> StateVector | None:
     """Interpret the operation list of ``spec`` on ``net``.
 
-    With a branch, the network runs that forced branch in written order and
-    its final state is returned.  With ``branch=None`` every outcome is left
-    unforced: the network must be a batch (see
+    With a branch, the ops run in written order with those outcomes forced,
+    and the network's :attr:`~telegate.network.Network.state` is returned
+    (``None`` when it has several rows).  With ``branch=None`` every outcome
+    is left unforced: the network must be a batch (see
     :func:`~telegate.network.build_batch`), which then holds every branch of
     every input, rows in ``itertools.product`` order, and ``None`` is
     returned.
@@ -301,8 +302,8 @@ def run_protocol(
         net._reorder_outcomes(axes)
     else:
         branch = list(branch)
-        if len(branch) != count or any(b not in (0, 1) for b in branch):
-            raise ValueError(f"branch needs {count} outcome bits of 0 or 1, got {branch!r}")
+        if len(branch) != count or not all(map(_is_bit, branch)):
+            raise ValueError(f"branch needs {count} integer outcome bits 0 or 1, got {branch!r}")
         _interpret(ops, net, branch)
     return net.state
 

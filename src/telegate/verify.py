@@ -7,10 +7,10 @@ matched against the closed-form ebit/cbit costs with integer exactness.
 
 The schedule, gates and messages of every protocol are the same on every
 branch, so branches are not replayed one by one: inputs are stacked as rows
-of one batched network and each measurement splits every row in two (see
-:class:`~telegate.network.Network`).  One run of the protocol then leaves
-one row per (input, branch), and every cbit is sent on every branch, so the
-run's one ledger is every branch's ledger.
+of one network and each unforced measurement keeps both halves of every row
+(see :class:`~telegate.network.Network`).  One run of the protocol then
+leaves one row per (input, branch), whose squared norm is its probability;
+every cbit is sent on every branch, so the run's ledger is every branch's.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .statevector import StateVector, basis_state, random_state
 FIDELITY_ATOL = 1e-10
 PROBABILITY_ATOL = 1e-9
 
-# Amplitudes one pass of verify_inputs works on: inputs are batched until
+# Amplitudes one pass of verify_inputs works on: inputs are stacked until
 # their registers fill it (4 MiB), and an input larger than that runs alone.
 AMPLITUDE_BUDGET = 1 << 18
 

@@ -287,14 +287,21 @@ def test_criterion_8_branch_probability_uniformity():
 
 
 class _MutatingNetwork(Network):
-    """Redirects the k-th gate call to a qubit the acting party does not hold."""
+    """Redirects the k-th gate call, plain or conditional, to a qubit the
+    acting party does not hold."""
 
     def local_apply(self, party_id, gate, targets):
+        super().local_apply(party_id, gate, self._redirect(party_id, targets))
+
+    def apply_if(self, party_id, gate, targets, tags):
+        super().apply_if(party_id, gate, self._redirect(party_id, targets), tags)
+
+    def _redirect(self, party_id, targets):
         if self._gate_calls == self._mutate_at:
             foreign = min(set(range(len(self._labels))) - self.held_qubits(party_id))
             targets = [foreign] + list(targets[1:])
         self._gate_calls += 1
-        return super().local_apply(party_id, gate, targets)
+        return targets
 
 
 def _armed_mutant(family, n, psi, k):
@@ -315,10 +322,10 @@ def test_criterion_9_every_foreign_qubit_mutation_trips_the_locality_check():
         payload = random_involution(91) if family is SERIES_CH else random_unitary(91)
         spec = ProtocolSpec(family, 3, payload)
         for branch in branch_sets:
-            clean, _ = build_network(topology_for(family), 3, psi)
+            # every gate call, including corrections whose bits are 0
+            clean = _armed_mutant(family, 3, psi, -1)
             run_protocol(spec, clean, branch)
-            num_gates = sum(1 for ev in clean.trace if ev["type"] == "gate")
-            for k in range(num_gates):
+            for k in range(clean._gate_calls):
                 attempted += 1
                 mutant = _armed_mutant(family, 3, psi, k)
                 try:

@@ -34,6 +34,7 @@ from telegate import (
 )
 from telegate import verify
 from telegate.network import TopologyKind, Unforced, build_batch
+from telegate.protocols import _checked_ops, _interpret
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
 SERIES_CH = ProtocolFamily.SERIES_SIMULTANEOUS_CH
@@ -125,6 +126,32 @@ def test_verify_inputs_is_the_same_across_pass_boundaries(monkeypatch):
     assert [b.outcomes for b in split.branches] == [b.outcomes for b in whole.branches]
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_a_forced_first_outcome_keeps_that_half_of_the_unforced_run(family):
+    payload = random_involution(95) if family is SERIES_CH else random_unitary(95)
+    spec = ProtocolSpec(family, 3, payload)
+    ops = _checked_ops(spec, True)
+    inputs = _inputs(3, 96)
+    runs = []
+    for branch in ([1, Unforced(0), Unforced(1), Unforced(2)], [Unforced(k) for k in range(4)]):
+        net = build_batch(topology_for(family), 3, inputs)
+        _interpret(ops, net, branch)
+        runs.append(net)
+    mixed, full = runs
+
+    def first_outcome_one(rows):
+        return rows.reshape((len(inputs), 2, 8) + rows.shape[1:])[:, 1].reshape(
+            (-1,) + rows.shape[1:]
+        )
+
+    np.testing.assert_allclose(mixed.register, first_outcome_one(full.register), rtol=0, atol=ATOL)
+    np.testing.assert_allclose(
+        mixed.probabilities, first_outcome_one(full.probabilities), rtol=0, atol=ATOL
+    )
+    assert mixed.impossible.tolist() == first_outcome_one(full.impossible).tolist()
+    assert (mixed.ledger.ebits, mixed.ledger.cbits) == (full.ledger.ebits, full.ledger.cbits)
+
+
 class TestBatchChecks:
     def test_apply_if_on_a_missing_tag_raises(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 1)])
@@ -142,8 +169,6 @@ class TestBatchChecks:
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 2)])
         with pytest.raises(ValueError):
             net.local_measure(1, net.qubit_index("e1"), MeasurementBasis.COMPUTATIONAL, Unforced(1))
-        with pytest.raises(ValueError):
-            net.local_measure(1, net.qubit_index("e1"), MeasurementBasis.COMPUTATIONAL, 0)
         with pytest.raises(ValueError):
             net.send_cbit(1, 3, Unforced(0), "e1")
 

@@ -248,6 +248,13 @@ def test_malformed_trace_exits_2(tmp_path, capsys, corrupt, message):
     assert message in err and len(err.strip().splitlines()) == 1
 
 
+def test_deeply_nested_trace_exits_2(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["replay", str(trace_path)]) == 2
+    assert "recursion depth" in capsys.readouterr().err
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("an over-limit run reached verification")
 

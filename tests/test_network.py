@@ -174,6 +174,71 @@ class TestLocalOperations:
         assert abs(fresh.local_measure(3, q6, HAD, 1) - 0.5) < 1e-10
 
 
+class TestCorrections:
+    """A conditional gate is checked for locality whatever its bits."""
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_foreign_or_missing_qubit_raises_whatever_the_bit(self, bit):
+        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net.send_cbit(1, 3, bit, "e1")
+        before, events = net.register.copy(), len(net.trace)
+        for index in (net.qubit_index("d1"), 99, -1):
+            with pytest.raises(LocalityViolation):
+                net.apply_if(3, pauli_x(), [index], ["e1"])
+        np.testing.assert_array_equal(net.register, before)
+        assert len(net.trace) == events
+
+    def test_unknown_party_is_refused(self):
+        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net.send_cbit(1, 3, 0, "e1")
+        with pytest.raises(LocalityViolation):
+            net.apply_if(99, pauli_x(), [net.qubit_index("t1")], ["e1"])
+        with pytest.raises(ValueError, match="unknown party 99"):
+            net.read_cbit(99, "e1")
+
+    @pytest.mark.parametrize("bit, fires", [(0, False), (1, True)])
+    def test_a_forced_correction_is_traced_only_when_it_fires(self, bit, fires):
+        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net.send_cbit(1, 3, bit, "e1")
+        before = net.register.copy()
+        net.apply_if(3, pauli_x(), [net.qubit_index("t1")], ["e1"])
+        assert (net.trace[-1]["type"] == "gate") is fires
+        assert (not np.array_equal(net.register, before)) is fires
+
+
+class TestMeasurementBoundary:
+    """Bad arguments to ``local_measure`` fail before the register is touched."""
+
+    @staticmethod
+    def _networks():
+        yield build_network(TopologyKind.SERIES, 3, random_state(3, 8))[0]
+        yield build_batch(TopologyKind.SERIES, 3, [random_state(3, 8), random_state(3, 9)])
+
+    @pytest.mark.parametrize("basis", ["computational", "hadamard", 0, None])
+    def test_basis_must_be_a_measurement_basis(self, basis):
+        for net in self._networks():
+            before = net.register.copy()
+            for outcome in (0, Unforced(0)) if net.trace is None else (0,):
+                with pytest.raises(ValueError, match="MeasurementBasis"):
+                    net.local_measure(1, net.qubit_index("f1"), basis, outcome)
+            np.testing.assert_array_equal(net.register, before)
+            assert net.label_at(1) == "f1"
+
+    @pytest.mark.parametrize("outcome", [1.0, True, False, 2, -1, "1", None, np.float64(0)])
+    def test_forced_outcome_must_be_an_integer_bit(self, outcome):
+        for net in self._networks():
+            before = net.register.copy()
+            with pytest.raises(ValueError, match="integer 0 or 1") as raised:
+                net.local_measure(1, net.qubit_index("f1"), COMP, outcome)
+            assert repr(outcome) in str(raised.value)
+            np.testing.assert_array_equal(net.register, before)
+            assert net.label_at(1) == "f1"
+
+    def test_numpy_integer_outcomes_are_bits(self):
+        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 8))
+        assert abs(net.local_measure(1, net.qubit_index("f1"), COMP, np.int64(1)) - 0.5) < 1e-10
+
+
 class TestBornRule:
     """Measurement through the live register code against brute-force projectors."""
 
@@ -296,6 +361,51 @@ class TestBatchedMeasurement:
         for row, psi in zip(batch.register, inputs):
             _, register = build_network(kind, 4, psi)
             np.testing.assert_allclose(row, register.amplitudes, rtol=0, atol=1e-12)
+
+
+class TestForcedRows:
+    """A forced outcome keeps that half of every row, unnormalized."""
+
+    def test_forced_rows_keep_their_branch_probability(self, rng):
+        inputs = [random_state(3, rng) for _ in range(3)]
+        for kind in KINDS:
+            batch = build_batch(kind, 3, inputs)
+            split = build_batch(kind, 3, inputs)
+            for k, (q, basis) in enumerate(((1, HAD), (4, COMP))):
+                label = batch.label_at(q)
+                assert batch.local_measure(_owner(batch, q), q, basis, 1) is None
+                q = split.qubit_index(label)
+                split.local_measure(_owner(split, q), q, basis, Unforced(k))
+            kept = split.register.reshape(3, 2, 2, -1)[:, 1, 1]
+            np.testing.assert_allclose(batch.register, kept, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                batch.probabilities, (abs(kept) ** 2).sum(axis=1), rtol=0, atol=1e-12
+            )
+            assert batch.state is None and not batch.impossible.any()
+
+    def test_an_outcome_some_rows_cannot_take_is_flagged(self):
+        batch = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00"), basis_state(2, "10")])
+        batch.local_measure(1, batch.qubit_index("d1"), COMP, 1)
+        assert batch.impossible.tolist() == [True, False]
+        np.testing.assert_allclose(batch.probabilities, [0.0, 1.0], atol=1e-12)
+        batch.local_measure(1, batch.qubit_index("f1"), COMP, Unforced(0))
+        assert batch.impossible.tolist() == [True, True, False, False]
+
+    def test_an_outcome_no_row_can_take_raises_and_leaves_the_register(self):
+        batch = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00"), basis_state(2, "01")])
+        before = batch.register.copy()
+        with pytest.raises(ImpossibleBranchError):
+            batch.local_measure(1, batch.qubit_index("d1"), COMP, 1)
+        np.testing.assert_array_equal(batch.register, before)
+        assert batch.label_at(0) == "d1" and not batch.impossible.any()
+
+    def test_the_state_is_the_normalized_row(self):
+        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        net.local_measure(1, net.qubit_index("f1"), HAD, 1)
+        assert abs(net.probabilities[0] - 0.5) < 1e-12
+        np.testing.assert_allclose(
+            net.state.amplitudes, np.kron(np.kron(ZERO, MINUS), ZERO), atol=1e-12
+        )
 
 
 class TestDiscard:

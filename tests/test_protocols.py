@@ -542,6 +542,13 @@ class TestRunErrors:
         with pytest.raises(ValueError):
             run_parallel_simultaneous_cu(net, random_unitary(72), (0, 0, 2, 0))
 
+    @pytest.mark.parametrize("bit", [True, 1.0, np.float64(1), "1", None])
+    def test_branch_bits_must_be_integers(self, bit):
+        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 72))
+        with pytest.raises(ValueError, match="integer outcome bits"):
+            run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(72)), net, [bit, 0, 0, 0])
+        assert net.trace == [] and net.ledger.cbits == 0
+
     def test_non_unitary_payload_rejected(self):
         net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 73))
         with pytest.raises(ValueError):
