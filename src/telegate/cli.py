@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvolutionRequired, LocalityViolation, TelegateError
 from .gates import Gate, _entry_to_complex, parse_gate_spec
-from .network import build_network, check_register_size
-from .protocols import ProtocolFamily, ProtocolSpec, run_protocol, topology_for
+from .network import build_batch, check_register_size
+from .protocols import Measure, ProtocolFamily, ProtocolSpec, _checked_run, topology_for
 from .statevector import StateVector, basis_state
 from .verify import (
     VerificationReport,
@@ -76,20 +76,43 @@ def _gate_from_pairs(label: str, rows: list) -> Gate:
 
 
 def record_trace(spec: ProtocolSpec, input_state: StateVector, branch: list[int]) -> dict:
-    """Execute one branch and capture a self-contained, replayable trace."""
-    net = build_network(topology_for(spec.family), spec.n, input_state)[0]
-    final = run_protocol(spec, net, branch)
+    """Execute one branch and capture a self-contained, replayable trace: events
+    rendered from the op list, probabilities and final state from the register."""
+    branch = list(branch)
+    net = build_batch(topology_for(spec.family), spec.n, [input_state])
+    ops, probabilities = _checked_run(spec, net, branch)
+    final = net.state
     return {
         "schema": SCHEMA_VERSION,
         "family": spec.family.value,
         "n": spec.n,
         "payload": {"label": spec.payload.label, "matrix": _matrix_pairs(spec.payload)},
         "input": state_pairs(input_state),
-        "branch": list(branch),
-        "events": net.trace,
+        "branch": branch,
+        "events": _events(ops, branch, probabilities),
         "final_state": state_pairs(final),
         "final_state_hash": state_hash(final),
     }
+
+
+def _events(ops: tuple, branch: list[int], probabilities: list[float]) -> list[dict]:
+    """Schema-1 events of a forced run, in op order: a measurement, then one
+    message per recipient; a gate, a correction only if the XOR of its bits is 1."""
+    events: list[dict] = []
+    outcome = {}
+    measured = iter(zip(branch, probabilities))
+    for op in ops:
+        if isinstance(op, Measure):
+            bit, p = next(measured)
+            outcome[op.qubit] = bit
+            events.append(dict(type="measure", party=op.party, qubit=op.qubit,
+                               basis=op.basis.value, outcome=bit, probability=p))
+            events += [dict(type="message", sender=op.party, recipient=r, bit=bit, tag=op.qubit)
+                       for r in op.recipients]
+        elif not op.tags or sum(outcome[tag] for tag in op.tags) % 2:
+            events.append(dict(type="gate", party=op.party, gate=op.gate.label,
+                               qubits=list(op.qubits)))
+    return events
 
 
 def _normalized_events(events: list[dict]) -> list[dict]:
@@ -219,8 +242,8 @@ def cmd_costs(args: argparse.Namespace) -> int:
     for n in range(2, args.n_max + 1):
         payload = parse_gate_spec("H")  # involutory, valid for every family
         spec = ProtocolSpec(family, n, payload)
-        net, _ = build_network(topology_for(family), n, basis_state(n, "0" * n))
-        run_protocol(spec, net, [0] * spec.num_measurements)
+        net = build_batch(topology_for(family), n, [basis_state(n, "0" * n)])
+        _checked_run(spec, net, [0] * spec.num_measurements)
         ebits, cbits = expected_costs(family, n)
         ok = check_costs(spec, net.ledger)
         all_ok = all_ok and ok
@@ -258,7 +281,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         branch = recorded["branch"]
         if not isinstance(branch, list):
             raise ValueError(f"branch must be a list of outcome bits, got {branch!r}")
-        # run_protocol refuses a branch that is not its count of integer 0/1 bits
+        # record_trace refuses a branch that is not its count of integer 0/1 bits
         replayed = record_trace(spec, input_state, branch)
     except (OSError, ValueError, LookupError, TypeError, ArithmeticError, RecursionError) as exc:
         print(f"error: cannot load trace: {exc}", file=sys.stderr)

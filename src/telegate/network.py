@@ -7,8 +7,9 @@ party touching a qubit it does not hold raises :class:`LocalityViolation`,
 which is the core safety property of the model.  The register holds one row
 per input and branch: a measurement given a forced outcome keeps that half of
 every row, and one left :class:`Unforced` keeps both, so one run can hold
-every branch of many inputs.  Only a network from :func:`build_network`
-keeps a trace.
+every branch of many inputs.  A network keeps no record of the operations
+run on it: :mod:`telegate.cli` renders a forced branch's events from the
+protocol's op list.
 
 Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
 last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
@@ -316,9 +317,7 @@ class Network:
     :class:`Unforced` one keeps both, so after k unforced measurements row
     ``input * 2^k + b`` holds branch ``b`` of that input (outcome bits in
     measurement order, first most significant).  Rows are never
-    renormalized: a row's squared norm is its branch probability.  Only a
-    network from :func:`build_network` (one row) keeps a ``trace``; a trace
-    names every outcome, so such a network takes only forced ones.
+    renormalized: a row's squared norm is its branch probability.
     Ownership and inbox checks run once per operation whatever the rows and
     bits; ownership is read from the label map, so it follows the register
     as measured qubits leave it.
@@ -341,7 +340,6 @@ class Network:
         self.parties = parties
         self.topology = topology
         self.ledger = ledger
-        self.trace: list[dict] | None = None
         self._splits = 0
         # Each row's squared norm as of its last measurement; inputs are normalized.
         self._norms2 = np.ones(register.shape[0])
@@ -438,8 +436,7 @@ class Network:
 
     def apply_if(self, party_id: int, gate: Gate, targets: list[int], tags: list[str]) -> None:
         """Apply a gate to the rows where the XOR of the bits ``party_id`` holds
-        under ``tags`` is 1 (a trace records it only then); ownership and
-        targets are checked whatever the bits."""
+        under ``tags`` is 1; ownership and targets are checked whatever the bits."""
         self._gate(party_id, gate, targets, tags)
 
     def _gate(self, party_id: int, gate: Gate, targets: list[int], tags: list[str] | None) -> None:
@@ -447,11 +444,6 @@ class Network:
         self._check_gate(party_id, gate, targets)
         bits = None if tags is None else [self.read_cbit(party_id, tag) for tag in tags]
         self._amps = _apply(self._amps, len(self._labels), gate, targets, self._splits, bits)
-        if self.trace is not None and (bits is None or sum(bits) % 2):
-            labels = [self._labels[t] for t in targets]
-            self.trace.append(
-                {"type": "gate", "party": party_id, "gate": gate.label, "qubits": labels}
-            )
 
     def local_measure(
         self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int | Unforced
@@ -462,14 +454,14 @@ class Network:
         A kept row of conditional probability below 1e-12 is flagged
         impossible; a forced outcome no row can take raises
         :class:`ImpossibleBranchError` and leaves the register as it was.
-        Returns the conditional probability a traced network records, else ``None``.
+        Returns the kept row's conditional probability when one row is left,
+        else ``None``.
         """
         if not isinstance(basis, MeasurementBasis):
             raise ValueError(f"basis must be a MeasurementBasis, got {basis!r}")
         if isinstance(outcome, Unforced):
-            if self.trace is not None or outcome.index != self._splits:
-                expected = "a forced outcome" if self.trace is not None else Unforced(self._splits)
-                raise ValueError(f"this network needs {expected} here, got {outcome!r}")
+            if outcome.index != self._splits:
+                raise ValueError(f"expected {Unforced(self._splits)} here, got {outcome!r}")
         elif not _is_bit(outcome):
             raise ValueError(f"outcome must be an integer 0 or 1, got {outcome!r}")
         if not self._holds(party_id, qubit):
@@ -482,19 +474,6 @@ class Network:
         impossible = np.repeat(self._impossible, len(outcomes)) | (
             norms2 < IMPOSSIBLE_CUTOFF * parent
         )
-        probability = None
-        if self.trace is not None:
-            probability = float(norms2[0] / parent[0])
-            self.trace.append(
-                {
-                    "type": "measure",
-                    "party": party_id,
-                    "qubit": label,
-                    "basis": basis.value,
-                    "outcome": outcome,
-                    "probability": probability,
-                }
-            )
         if len(outcomes) == 1 and impossible.all():
             raise ImpossibleBranchError(
                 f"outcome {outcome} on qubit {label} is impossible in every row"
@@ -505,7 +484,7 @@ class Network:
         self._splits += len(outcomes) - 1
         del self._labels[qubit]
         del self._owner[label]
-        return probability
+        return float(norms2[0] / parent[0]) if len(norms2) == 1 else None
 
     # -- classical bus ----------------------------------------------------
 
@@ -518,16 +497,10 @@ class Network:
         if isinstance(bit, Unforced):
             if bit.index >= self._splits:
                 raise ValueError(f"unforced outcome {bit.index} has not been measured")
-        else:
-            bit = int(bit)
-            if bit not in (0, 1):
-                raise ValueError(f"cbit must be 0 or 1, got {bit!r}")
+        elif not _is_bit(bit):
+            raise ValueError(f"cbit must be an integer 0 or 1, got {bit!r}")
         self.parties[recipient].inbox.append(ClassicalMessage(sender, recipient, bit, tag))
         self.ledger.cbits += 1
-        if self.trace is not None:
-            self.trace.append(
-                {"type": "message", "sender": sender, "recipient": recipient, "bit": bit, "tag": tag}
-            )
 
     def read_cbit(self, party_id: int, tag: str) -> int | Unforced:
         """Read (without consuming) the bit delivered to ``party_id`` under ``tag``."""
@@ -562,19 +535,18 @@ def build_network(
     """Distribute n-1 Bell pairs around the n-qubit input state.
 
     ``input_state`` holds the data qubits in party order (qubit i-1 belongs
-    to party i).  The returned network keeps a trace, so it takes forced
-    outcomes only; its register follows the module docstring's layout, and
-    its ledger already accounts for the n-1 distributed ebits.
+    to party i).  This is :func:`build_batch` of that one input, returned
+    with its register as a :class:`StateVector`.
     """
-    net = _build(kind, n, [input_state])
-    net.trace = []
+    net = build_batch(kind, n, [input_state])
     return net, net.state
 
 
 def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
-    """Like :func:`build_network`, with one register row per input and no
-    trace.  A run of a protocol that leaves every outcome :class:`Unforced`
-    covers every branch of every input.
+    """Distribute n-1 Bell pairs around each input, one register row per
+    input, in the module docstring's layout; the ledger already accounts for
+    the n-1 distributed ebits.  A run of a protocol that leaves every outcome
+    :class:`Unforced` covers every branch of every input.
     """
     return _build(kind, n, inputs)
 
@@ -595,10 +567,7 @@ def _bell_edges(kind: TopologyKind, n: int) -> tuple[BellEdge, ...]:
 
 
 def _build(
-    kind: TopologyKind,
-    n: int,
-    inputs: Sequence[StateVector],
-    lazy: bool = False,
+    kind: TopologyKind, n: int, inputs: Sequence[StateVector], lazy: bool = False
 ) -> Network:
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
@@ -631,15 +600,8 @@ def _build(
         pid: Party(pid, Role.TARGET if pid == n else Role.CONTROL)
         for pid in range(1, n + 1)
     }
-    net = Network(
-        n,
-        register,
-        labels,
-        owner,
-        parties,
-        Topology(kind, n, edges),
-        CostLedger(ebits=n - 1, cbits=0),
-    )
+    topology = Topology(kind, n, edges)
+    net = Network(n, register, labels, owner, parties, topology, CostLedger(ebits=n - 1))
     if lazy:
         net._pending = {label: e for e in edges for label in (e.label_a, e.label_b)}
     return net

@@ -14,13 +14,14 @@ every outcome is left :class:`~telegate.network.Unforced` and one run on a
 batch covers all branches.  :func:`measurement_schedule` reads the same
 list, so the schedule cannot drift from the run.
 
-A forced branch runs the list in written order, which is the order its trace
-records.  An unforced run takes a topological order of the same list: an op
-follows every earlier op that shares one of its qubits and every measurement
-whose outcome it reads, and among the ready ops the one touching the
-lowest-numbered Bell pair runs first.  Each pair's ops then run together, so
-a batch that tensors pairs in at first use keeps its register small until
-the last pair.  The rows' outcome bits are then put back in written order.
+A forced branch runs the list in written order, which is the order of the
+events its trace renders from the list.  An unforced run takes a topological
+order of the same list: an op follows every earlier op that shares one of
+its qubits and every measurement whose outcome it reads, and among the ready
+ops the one touching the lowest-numbered Bell pair runs first.  Each pair's
+ops then run together, so a batch that tensors pairs in at first use keeps
+its register small until the last pair.  The rows' outcome bits are then
+put back in written order.
 
 Families
 --------
@@ -249,14 +250,16 @@ def measurement_schedule(spec: ProtocolSpec) -> list[tuple[int, str, Measurement
     return [(op.party, op.qubit, op.basis) for op in ops if isinstance(op, Measure)]
 
 
-def _interpret(ops: Sequence[Op], net: Network, branch: Sequence[int | Unforced]) -> None:
+def _interpret(ops: Sequence[Op], net: Network, branch: Sequence[int | Unforced]) -> list:
     """Run ``ops`` on ``net``, taking the outcomes of its measurements in turn
-    from ``branch``."""
+    from ``branch``; returns what each measurement returned, in order."""
     outcomes = iter(branch)
+    probabilities = []
     for op in ops:
         if isinstance(op, Measure):
             bit = next(outcomes)
-            net.local_measure(op.party, net.qubit_index(op.qubit), op.basis, bit)
+            q = net.qubit_index(op.qubit)
+            probabilities.append(net.local_measure(op.party, q, op.basis, bit))
             for recipient in op.recipients:
                 net.send_cbit(op.party, recipient, bit, op.qubit)
             continue
@@ -265,6 +268,7 @@ def _interpret(ops: Sequence[Op], net: Network, branch: Sequence[int | Unforced]
             net.apply_if(op.party, op.gate, targets, list(op.tags))
         else:
             net.local_apply(op.party, op.gate, targets)
+    return probabilities
 
 
 def run_protocol(
@@ -276,18 +280,26 @@ def run_protocol(
 ) -> StateVector | None:
     """Interpret the operation list of ``spec`` on ``net``.
 
-    With a branch, the ops run in written order with those outcomes forced,
-    and the network's :attr:`~telegate.network.Network.state` is returned
-    (``None`` when it has several rows).  With ``branch=None`` every outcome
-    is left unforced: the network must be a batch (see
-    :func:`~telegate.network.build_batch`), which then holds every branch of
-    every input, rows in ``itertools.product`` order, and ``None`` is
-    returned.
+    With a branch, the ops run in written order with those outcomes forced.
+    With ``branch=None`` every outcome is left unforced, and the network
+    then holds every branch of every input, rows in ``itertools.product``
+    order.  Returns the network's :attr:`~telegate.network.Network.state`:
+    ``None`` when it has several rows.
 
     ``enforce_involution=False`` skips the series-ch payload certificate; it
     exists so the verification layer can demonstrate that non-involutory
     payloads break determinism against the simultaneous-gate oracle.
     """
+    _checked_run(spec, net, branch, enforce_involution)
+    return net.state
+
+
+def _checked_run(
+    spec: ProtocolSpec, net: Network, branch: Sequence[int] | None, enforce_involution: bool = True
+) -> tuple[tuple[Op, ...], list[float | None]]:
+    """:func:`run_protocol` up to its result: check the network, spec and branch,
+    then run.  Returns the op list and what each measurement returned in
+    written order: its conditional probability on one row given a branch."""
     kind = topology_for(spec.family)
     if net.topology.kind is not kind or net.n != spec.n:
         raise TopologyMismatch(
@@ -300,12 +312,11 @@ def run_protocol(
         order, axes = _batch_order(spec.family, spec.n)
         _interpret([ops[j] for j in order], net, [Unforced(k) for k in range(count)])
         net._reorder_outcomes(axes)
-    else:
-        branch = list(branch)
-        if len(branch) != count or not all(map(_is_bit, branch)):
-            raise ValueError(f"branch needs {count} integer outcome bits 0 or 1, got {branch!r}")
-        _interpret(ops, net, branch)
-    return net.state
+        return ops, [None] * count
+    branch = list(branch)
+    if len(branch) != count or not all(map(_is_bit, branch)):
+        raise ValueError(f"branch needs {count} integer outcome bits 0 or 1, got {branch!r}")
+    return ops, _interpret(ops, net, branch)
 
 
 def run_parallel_simultaneous_cu(

@@ -7,7 +7,6 @@ impossibility flag.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -51,7 +50,9 @@ def _forced(spec, state, bits, enforce_involution=True):
         final = run_protocol(spec, net, bits, enforce_involution=enforce_involution)
     except ImpossibleBranchError:
         final = None
-    probability = math.prod(ev["probability"] for ev in net.trace if ev["type"] == "measure")
+    # a row's squared norm is the product of its measurements' conditional
+    # probabilities; an impossible one (below 1e-12) counts as 0
+    probability = 0.0 if final is None else float(net.probabilities[0])
     fidelity = 0.0 if final is None else fidelity_up_to_phase(final, oracle_effect(spec, state))
     return probability, fidelity, final is None, (net.ledger.ebits, net.ledger.cbits), final
 
@@ -176,7 +177,16 @@ class TestBatchChecks:
         with pytest.raises(TypeError):
             bool(Unforced(0))
 
-    def test_a_forced_network_refuses_unforced_outcomes(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 3))
-        with pytest.raises(ValueError):
-            net.local_measure(1, net.qubit_index("e1"), MeasurementBasis.COMPUTATIONAL, Unforced(0))
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_an_unforced_run_on_a_built_network_is_the_batch_run(self, family):
+        spec = ProtocolSpec(family, 3, random_involution(98))
+        for state in _inputs(3, 99):
+            net, _ = build_network(topology_for(family), 3, state)
+            assert run_protocol(spec, net, None) is None
+            assert net.register.shape[0] == 16
+            batch = build_batch(topology_for(family), 3, [state])
+            run_protocol(spec, batch, None)
+            np.testing.assert_array_equal(net.register, batch.register)
+            np.testing.assert_array_equal(net.probabilities, batch.probabilities)
+            np.testing.assert_array_equal(net.impossible, batch.impossible)
+            assert (net.ledger.ebits, net.ledger.cbits) == (batch.ledger.ebits, batch.ledger.cbits)

@@ -32,6 +32,7 @@ from telegate import (
     run_series_simultaneous_ch,
     topology_for,
 )
+from telegate.cli import record_trace
 from telegate.gates import Gate
 from conftest import single_qubit_purity
 from reference_states import (
@@ -96,11 +97,10 @@ class TestMeasurementSchedule:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_trace_follows_the_schedule(self, family):
         spec = ProtocolSpec(family, 4, _payload_for(family))
-        net, _ = build_network(topology_for(family), 4, random_state(4, 3))
-        run_protocol(spec, net, [0] * 6)
+        events = record_trace(spec, random_state(4, 3), [0] * 6)["events"]
         measured = [
             (ev["party"], ev["qubit"], ev["basis"])
-            for ev in net.trace
+            for ev in events
             if ev["type"] == "measure"
         ]
         assert measured == [(p, q, b.value) for p, q, b in measurement_schedule(spec)]
@@ -209,12 +209,12 @@ class TestParallelProtocol:
     def test_correction_pattern_matches_returned_outcomes(self):
         # the target's minus outcome on half i drives a phase fix at party i
         d = random_coefficients(16)
+        spec = ProtocolSpec(PARALLEL, 3, random_unitary(16))
         for h1, h2 in itertools.product((0, 1), repeat=2):
-            net, _ = build_network(TopologyKind.PARALLEL, 3, StateVector(3, d))
-            run_parallel_simultaneous_cu(net, random_unitary(16), (0, 0, h1, h2))
+            events = record_trace(spec, StateVector(3, d), [0, 0, h1, h2])["events"]
             fixes = [
                 (ev["party"], ev["qubits"])
-                for ev in net.trace
+                for ev in events
                 if ev["type"] == "gate" and ev["gate"] == "Z"
             ]
             expected = []
@@ -287,12 +287,12 @@ class TestSeriesSimultaneousCH:
             (0, 1): [(1, ["d1"]), (2, ["d2"])],
             (1, 1): [(2, ["d2"])],
         }
+        spec = ProtocolSpec(SERIES_CH, 3, payload)
         for (h3, h6), expected in cases.items():
-            net, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
-            run_series_simultaneous_ch(net, payload, (0, 0, h3, h6))
+            events = record_trace(spec, StateVector(3, d), [0, 0, h3, h6])["events"]
             fixes = [
                 (ev["party"], ev["qubits"])
-                for ev in net.trace
+                for ev in events
                 if ev["type"] == "gate" and ev["gate"] == "Z"
             ]
             assert fixes == expected
@@ -419,18 +419,18 @@ class TestSeriesNControlledU:
 
     def test_conditional_phase_event_on_target_minus(self):
         d = random_coefficients(35)
-        net, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
-        run_series_ncu(net, random_unitary(35), (0, 0, 1, 0))
-        cz_events = [ev for ev in net.trace if ev["type"] == "gate" and ev["gate"] == "CZ"]
+        spec = ProtocolSpec(SERIES_NCU, 3, random_unitary(35))
+        events = record_trace(spec, StateVector(3, d), [0, 0, 1, 0])["events"]
+        cz_events = [ev for ev in events if ev["type"] == "gate" and ev["gate"] == "CZ"]
         assert cz_events == [
             {"type": "gate", "party": 2, "gate": "CZ", "qubits": ["r2", "d2"]}
         ]
 
     def test_final_phase_fix_on_relay_minus(self):
         d = random_coefficients(36)
-        net, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
-        run_series_ncu(net, random_unitary(36), (0, 0, 0, 1))
-        z_events = [ev for ev in net.trace if ev["type"] == "gate" and ev["gate"] == "Z"]
+        spec = ProtocolSpec(SERIES_NCU, 3, random_unitary(36))
+        events = record_trace(spec, StateVector(3, d), [0, 0, 0, 1])["events"]
+        z_events = [ev for ev in events if ev["type"] == "gate" and ev["gate"] == "Z"]
         assert z_events == [{"type": "gate", "party": 1, "gate": "Z", "qubits": ["d1"]}]
 
 
@@ -545,9 +545,11 @@ class TestRunErrors:
     @pytest.mark.parametrize("bit", [True, 1.0, np.float64(1), "1", None])
     def test_branch_bits_must_be_integers(self, bit):
         net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 72))
+        before = net.register.copy()
         with pytest.raises(ValueError, match="integer outcome bits"):
             run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(72)), net, [bit, 0, 0, 0])
-        assert net.trace == [] and net.ledger.cbits == 0
+        np.testing.assert_array_equal(net.register, before)
+        assert net.ledger.cbits == 0
 
     def test_non_unitary_payload_rejected(self):
         net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 73))

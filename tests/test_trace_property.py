@@ -1,29 +1,43 @@
 """Property tests at the trace boundary.
 
-A trace survives a JSON round trip and replays, and a golden trace whose
-fields are deleted, retyped or resized makes ``telegate replay`` exit 0, 1
-or 2 with at most one line on stderr, never a traceback.
+A trace's events alone, applied by brute force, give its probabilities and
+final state.  A trace survives a JSON round trip and replays, and a golden
+trace whose fields are deleted, retyped or resized makes ``telegate replay``
+exit 0, 1 or 2 with at most one line on stderr, never a traceback.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telegate import (
+    MeasurementBasis,
     ProtocolFamily,
     ProtocolSpec,
     StateVector,
+    build_network,
     random_involution,
     random_state,
     random_unitary,
+    topology_for,
 )
 from telegate.cli import _normalized_events, _pairs_to_amplitudes, main, record_trace
+from telegate.protocols import LocalGate, _checked_ops
+from conftest import (
+    computational_projector_probability,
+    hadamard_projector_probability,
+    naive_embedded_matrix,
+    projected_remainder,
+)
 
 GOLDEN_TRACES = [
     json.loads(path.read_text())
@@ -40,6 +54,45 @@ def _replay(trace) -> tuple[int, str]:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["replay", str(path)])
     return code, err.getvalue()
+
+
+def _apply_events(spec, state, events) -> np.ndarray:
+    """The register after ``events`` alone, each gate as a dense embedded
+    matrix and each measurement as a brute-force projection whose Born
+    probability must be the recorded one."""
+    net, register = build_network(topology_for(spec.family), spec.n, state)
+    labels = [net.label_at(i) for i in range(register.num_qubits)]
+    gates = {op.gate.label: op.gate for op in _checked_ops(spec, True) if isinstance(op, LocalGate)}
+    amps = register.amplitudes
+    for ev in events:
+        if ev["type"] == "gate":
+            targets = [labels.index(q) for q in ev["qubits"]]
+            amps = naive_embedded_matrix(gates[ev["gate"]].matrix, targets, len(labels)) @ amps
+        elif ev["type"] == "measure":
+            q, basis = labels.index(ev["qubit"]), MeasurementBasis(ev["basis"])
+            before = StateVector(len(labels), amps)
+            born = (
+                computational_projector_probability
+                if basis is MeasurementBasis.COMPUTATIONAL
+                else hadamard_projector_probability
+            )
+            assert abs(born(before, q, ev["outcome"]) - ev["probability"]) < 1e-12
+            amps = projected_remainder(before, q, basis, ev["outcome"])
+            del labels[q]
+    return amps
+
+
+@pytest.mark.parametrize("family", list(ProtocolFamily))
+def test_the_events_alone_give_the_final_state(family):
+    series_ch = family is ProtocolFamily.SERIES_SIMULTANEOUS_CH
+    spec = ProtocolSpec(family, 3, random_involution(5) if series_ch else random_unitary(5))
+    state = random_state(3, 6)
+    for branch in itertools.product((0, 1), repeat=spec.num_measurements):
+        trace = record_trace(spec, state, list(branch))
+        final = _pairs_to_amplitudes(trace["final_state"])
+        np.testing.assert_allclose(
+            _apply_events(spec, state, trace["events"]), final, rtol=0, atol=1e-10
+        )
 
 
 @st.composite
