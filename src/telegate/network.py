@@ -15,9 +15,12 @@ Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
 last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
 Such a gate acts in place on two basic-index views of the register, the
 target at 0 and at 1 with every control at 1: b = X swaps them, a diagonal b
-scales them and any other b mixes them.  A correction acts on the same
-views restricted to the rows whose outcome parity is 1.  Any other gate
-goes through the dense kernel :func:`~telegate.statevector._apply_matrix`.
+scales them and any other b mixes them.  Any other gate goes through the
+dense kernel :func:`~telegate.statevector._apply_matrix`.  A correction,
+applied iff the XOR of some outcome bits is 1, takes one path whatever its
+gate and bits: it acts once per assignment of its open bits that fires it,
+on the rows with those branch bits fixed, so the rows it does not fire on
+are never touched.
 
 Register layout
 ---------------
@@ -42,6 +45,7 @@ its labels is first resolved, so early operations act on smaller arrays.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -198,7 +202,6 @@ class _Block(NamedTuple):
 
 
 _X_BLOCK = np.array([[0, 1], [1, 0]])
-_EYE2 = np.eye(2)
 
 
 @functools.lru_cache(maxsize=32)
@@ -220,39 +223,25 @@ def _block(gate: Gate) -> _Block | None:
     return _Block(b, bool(np.array_equal(b, _X_BLOCK)), not (b[0, 1] or b[1, 0]))
 
 
-def _act(v0: np.ndarray, v1: np.ndarray, block: _Block, parity: np.ndarray | None) -> None:
-    """(v0, v1) <- b (v0, v1) in place; with ``parity``, only where it is true."""
+def _act(v0: np.ndarray, v1: np.ndarray, block: _Block) -> None:
+    """(v0, v1) <- b (v0, v1) in place."""
     b = block.b
-    if parity is None and block.swap:
+    if block.swap:
         held = v0.copy()
         v0[...] = v1
         v1[...] = held
         return
-    if parity is not None:
-        b = np.where(parity[..., None, None], b, _EYE2)
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
     if block.diagonal:
-        if block.b[0, 0] != 1:
-            v0 *= b00
-        if block.b[1, 1] != 1:
-            v1 *= b11
+        if b[0, 0] != 1:
+            v0 *= b[0, 0]
+        if b[1, 1] != 1:
+            v1 *= b[1, 1]
         return
     held = v0.copy()
-    v0 *= b00
-    v0 += b01 * v1
-    v1 *= b11
-    v1 += b10 * held
-
-
-def _parity(splits: int, unforced: list[int], flip: int) -> np.ndarray:
-    """The outcome parity of each row, over axes ``(inputs, bit 0, ..., bit splits-1)``
-    of length 1 except at the ``unforced`` bits, XOR ``flip``."""
-    parity = np.full((1,) * (1 + splits), bool(flip))
-    for j in unforced:
-        shape = [1] * (1 + splits)
-        shape[1 + j] = 2
-        parity = parity ^ np.array([False, True]).reshape(shape)
-    return parity
+    v0 *= b[0, 0]
+    v0 += b[0, 1] * v1
+    v1 *= b[1, 1]
+    v1 += b[1, 0] * held
 
 
 def _apply(
@@ -267,45 +256,40 @@ def _apply(
 
     With ``bits``, only the rows whose XOR of those outcome bits is 1: a
     forced bit counts for every row, and :class:`Unforced` bit ``j`` is bit
-    ``splits - 1 - j`` of the row's branch index.  A gate I ⊕ b acts in
-    place on views; any other gate is applied densely.  Returns the register.
+    ``splits - 1 - j`` of the row's branch index.  The gate acts once per
+    assignment of the open bits that fires it, on the rows with those
+    branch bits fixed; without ``bits``, once on every row.  A gate I ⊕ b
+    acts in place on views; any other gate is applied densely to those rows
+    and written back.  Returns the register.
     """
-    unforced: list[int] = []
-    flip = 0
+    flip = int(bits is None)
+    unforced: set[int] = set()
     for bit in bits or ():
         if isinstance(bit, Unforced):
-            unforced.append(bit.index)
+            unforced ^= {bit.index}  # a bit named twice cancels
         else:
             flip ^= bit
-    if bits is not None and not unforced and not flip:
-        return amps
     block = _block(gate)
-    if block is None:
-        out = _apply_matrix(amps, num_qubits, gate.matrix, targets)
-        if not unforced:
-            return out
-        shape = (amps.shape[0] >> splits,) + (2,) * splits
-        fire = np.broadcast_to(_parity(splits, unforced, flip), shape).reshape(-1)
-        np.copyto(amps, out, where=fire[:, None])
-        return amps
     amps = np.ascontiguousarray(amps)  # so that the reshape below is a view
-    lead = (amps.shape[0] >> splits,) + (2,) * splits if unforced else (amps.shape[0],)
-    cube = amps.reshape(lead + (2,) * num_qubits)
+    cube = amps.reshape((amps.shape[0] >> splits,) + (2,) * (splits + num_qubits))
+    qubit0 = 1 + splits  # the axis of qubit 0
     index: list = [slice(None)] * cube.ndim
     for control in targets[:-1]:
-        index[len(lead) + control] = 1
-    parity = None
-    if len(unforced) == 1:
-        index[1 + unforced[0]] = 1 ^ flip
-    elif unforced:
-        parity = _parity(splits, unforced, flip)
-        parity = parity.reshape(parity.shape + (1,) * (num_qubits - len(targets)))
-    target = len(lead) + targets[-1]
-    index[target] = 0
-    v0 = cube[tuple(index)]
-    index[target] = 1
-    v1 = cube[tuple(index)]
-    _act(v0, v1, block, parity)
+        index[qubit0 + control] = 1
+    for values in itertools.product((0, 1), repeat=len(unforced)):
+        if not (flip + sum(values)) % 2:
+            continue
+        for j, value in zip(unforced, values):
+            index[1 + j] = value
+        if block is None:
+            rows = cube[tuple(index[:qubit0])]
+            flat = rows.reshape(rows.shape[: rows.ndim - num_qubits] + (-1,))
+            rows[...] = _apply_matrix(flat, num_qubits, gate.matrix, targets).reshape(rows.shape)
+            continue
+        index[qubit0 + targets[-1]] = 0
+        v0 = cube[tuple(index)]
+        index[qubit0 + targets[-1]] = 1
+        _act(v0, cube[tuple(index)], block)
     return amps
 
 
@@ -398,9 +382,18 @@ class Network:
 
     def _reorder_outcomes(self, axes: Sequence[int]) -> None:
         """Permute the unforced outcome bits of every row index: bit ``w`` of
-        the new order (most significant first) is bit ``axes[w]`` of the old one."""
+        the new order (most significant first) is bit ``axes[w]`` of the old one;
+        a delivered :class:`Unforced` bit is renamed to match."""
         if list(axes) == sorted(axes):
             return
+        renamed = {a: Unforced(w) for w, a in enumerate(axes)}
+        for party in self.parties.values():
+            party.inbox = [
+                ClassicalMessage(m.sender, m.recipient, renamed[m.bit.index], m.tag)
+                if isinstance(m.bit, Unforced)
+                else m
+                for m in party.inbox
+            ]
         rows = self._amps.shape[0]
         cube = (rows >> len(axes),) + (2,) * len(axes)
         perm = (0, *(1 + a for a in axes))

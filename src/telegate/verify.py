@@ -178,14 +178,17 @@ def verify_inputs(
     *,
     max_workers: int = 1,
 ) -> VerificationReport:
-    """Enumerate every branch for every input and aggregate the verdict.
+    """Enumerate every branch for every input and aggregate the verdict;
+    an empty ``inputs`` is refused, since it would pass with no evidence.
 
     ``max_workers`` is accepted for callers of the former thread pool and
     ignored: one pass covers every branch, so there is no per-branch work
     to spread over threads.
     """
-    _checked_ops(spec, True)
     inputs = list(inputs)
+    if not inputs:
+        raise ValueError("need at least one input state")
+    _checked_ops(spec, True)
     uniform = 2.0 ** -spec.num_measurements
     per_pass = max(1, AMPLITUDE_BUDGET >> register_qubits(spec.n))
     min_fidelity = float("inf")

@@ -7,6 +7,8 @@ impossibility flags and ledger must equal those of an eager
 until the pairs it needs are in.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from telegate import (
     random_involution,
     random_state,
     random_unitary,
+    run_protocol,
     topology_for,
 )
 from telegate import verify
@@ -147,3 +150,35 @@ def test_reordered_outcome_bits_are_the_written_order_measurements():
     np.testing.assert_array_equal(reordered.impossible, in_order.impossible)
     np.testing.assert_allclose(reordered.register, in_order.register, rtol=0, atol=ATOL)
 
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_correction_after_an_unforced_run_reads_the_written_order_bit(family, n):
+    # After the batch's outcome bits are put back in written order, a
+    # correction on any delivered bit acts on the rows of that measurement,
+    # as it does after a run forced on each branch.
+    payload = random_involution(350 + n) if family is SERIES_CH else random_unitary(350 + n)
+    spec = ProtocolSpec(family, n, payload)
+    state = random_state(n, 360 + n)
+    batch = build_batch(topology_for(family), n, [state])
+    run_protocol(spec, batch, None)
+    branches = list(itertools.product((0, 1), repeat=spec.num_measurements))
+    forced = []
+    for branch in branches:
+        net = build_batch(topology_for(family), n, [state])
+        run_protocol(spec, net, list(branch))
+        forced.append(net)
+    x = pauli_x()
+    received = [(p, msg.tag) for p, party in batch.parties.items() for msg in party.inbox]
+    assert len(received) == verify.expected_costs(family, n)[1]
+    for party, tag in received:
+        for net in [batch, *forced]:
+            net.apply_if(party, x, [net.qubit_index(f"d{party}")], [tag])
+        rows = batch.register.reshape(len(branches), -1)
+        for branch, row, net in zip(branches, rows, forced):
+            np.testing.assert_allclose(
+                row, net.register[0], rtol=0, atol=ATOL, err_msg=f"{tag} {branch}"
+            )
+        # X undoes itself, so every network is back as the run left it
+        for net in [batch, *forced]:
+            net.apply_if(party, x, [net.qubit_index(f"d{party}")], [tag])

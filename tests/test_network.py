@@ -567,7 +567,6 @@ class TestIndependentNetworks:
 
 # Every gate kind the protocols use, a Haar controlled-payload, and a
 # two-qubit gate that is not of the form I + b, which takes the dense path.
-_SWAP = Gate(2, np.eye(4)[[0, 2, 1, 3]], "SWAP")
 KERNEL_GATES = {
     "X": pauli_x(),
     "Z": pauli_z(),
@@ -576,7 +575,7 @@ KERNEL_GATES = {
     "CCX": controlled(pauli_x(), 2),
     "CH": controlled(hadamard(), 1),
     "CU": controlled(random_unitary(17), 1),
-    "SWAP": _SWAP,
+    "SWAP": Gate(2, np.eye(4)[[0, 2, 1, 3]], "SWAP"),
 }
 
 
@@ -606,21 +605,27 @@ class TestKernels:
     @pytest.mark.parametrize("name", list(KERNEL_GATES))
     def test_masked_corrections_match_a_boolean_gather(self, name, rng):
         gate = KERNEL_GATES[name]
-        splits, num_qubits, inputs = 3, 5, 2
-        rows = inputs << splits
-        index = np.arange(rows)
+        num_qubits, inputs = 5, 2
+        u0, u1, u2 = Unforced(0), Unforced(1), Unforced(2)
         cases = [
-            [Unforced(1)],
-            [Unforced(2)],
-            [Unforced(0), Unforced(2)],
-            [Unforced(0), Unforced(1), Unforced(2)],
-            [Unforced(1), 0],
-            [Unforced(1), 1],
-            [1, Unforced(0), Unforced(2)],
-            [1],
-            [0],
+            (3, [u1]),
+            (3, [u2]),
+            (3, [u0, u2]),
+            (3, [u0, u1, u2]),
+            (3, [u1, 0]),
+            (3, [u1, 1]),
+            (3, [1, u0, u2]),
+            (3, [1]),
+            (3, [0]),
+            # a bit named twice cancels
+            (3, [u1, u1]),
+            (3, [u0, u1, u0]),
+            (3, [1, u2, u2]),
+            (5, [Unforced(4), u0, Unforced(3), 1, u2, u1]),
         ]
-        for bits in cases:
+        for splits, bits in cases:
+            rows = inputs << splits
+            index = np.arange(rows)
             parity = np.zeros(rows, dtype=np.int64)
             for bit in bits:
                 if isinstance(bit, Unforced):
@@ -635,9 +640,9 @@ class TestKernels:
                 expected[fire] = _apply_matrix(amps[fire], num_qubits, gate.matrix, targets)
                 got = _apply(amps.copy(), num_qubits, gate, targets, splits, bits)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(got[~fire], amps[~fire])
 
     def test_controlled_gates_act_in_place(self, rng):
         amps = _random_rows(rng, 4, 5)
         for gate in KERNEL_GATES.values():
-            if gate is not _SWAP:
-                assert _apply(amps, 5, gate, list(range(gate.arity))) is amps
+            assert _apply(amps, 5, gate, list(range(gate.arity))) is amps

@@ -25,6 +25,7 @@ from telegate import (
     random_involution,
     random_state,
     random_unitary,
+    verify_inputs,
     verify_protocol,
 )
 
@@ -112,6 +113,16 @@ class TestVerifyProtocol:
         assert report.max_probability_deviation < 1e-9
         assert report.cost_ok and report.probability_sums_ok
         assert len(report.branches) == 16
+
+    def test_no_inputs_is_refused_before_any_work(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("ran with no inputs")
+
+        monkeypatch.setattr("telegate.verify._checked_ops", must_not_run)
+        monkeypatch.setattr("telegate.verify._force_all", must_not_run)
+        spec = ProtocolSpec(PARALLEL, 3, random_unitary(7))
+        with pytest.raises(ValueError, match="at least one input"):
+            verify_inputs(spec, [])
 
     def test_involution_violation_surfaces(self):
         spec = ProtocolSpec(SERIES_CH, 3, random_unitary(10))
