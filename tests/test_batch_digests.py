@@ -4,7 +4,7 @@
 n = 2..6, plus non-involutory ``series-ch`` at n = 3..5, each over two
 seeded Haar inputs and one basis input.  A digest covers ``_force_all``'s
 probabilities and fidelities (rounded to 1e-12), its impossibility flags and
-its ledger; for n <= 4 it also covers the final register rows of the same
+its ledger; for n <= 5 it also covers the final register rows of the same
 batch run (rounded to 1e-12).  Any change to what the batch computes shows
 here.  Regenerate the fixture only for a deliberate change of results:
 ``PYTHONPATH=src python tests/test_batch_digests.py``.
@@ -32,7 +32,7 @@ from telegate.verify import _force_all
 FIXTURE = Path(__file__).parent / "data" / "batch-digests.json"
 PAYLOAD_SEED = 11
 INPUT_SEED = 12
-ROWS_UP_TO_N = 4
+ROWS_UP_TO_N = 5
 
 
 def _cases():
