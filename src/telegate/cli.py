@@ -188,7 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except InvolutionRequired as exc:
         print(f"error: InvolutionRequired: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -26,20 +26,15 @@ Register layout
 ---------------
 Qubits carry stable string labels; global indices shift as measured qubits
 are discarded, so code should resolve labels via :meth:`Network.qubit_index`
-right before use.  With n parties (party n is the target):
-
-* parallel: ``d1 e1 d2 e2 ... d{n-1} e{n-1} t1 ... t{n-1} dn`` where ``di``
-  is party i's data qubit, ``ei`` is control party i's Bell half and ``ti``
-  the matching target-held half.
-* series: ``d1 f1 | r2 d2 f2 | ... | rn dn`` where ``fi`` is party i's
-  forward Bell half and ``r{i+1}`` the matching half held by party i+1.
-
-At n = 3 these orderings coincide with the seven-qubit registers used
-throughout the protocol transcriptions.  :func:`build_network` and
-:func:`build_batch` keep this layout.  The verifier's batch
-(:func:`_data_batch`) starts from the data qubits ``d1 ... dn`` alone and
-appends each Bell pair's two halves at the end of the register when one of
-its labels is first resolved, so early operations act on smaller arrays.
+right before use.  With n parties (party n is the target), the register
+starts as the data qubits ``d1 ... dn`` in party order, and each Bell pair's
+two halves are appended at its end, ``label_a`` then ``label_b``, when either
+label is first resolved: ``ei`` (control party i) and ``ti`` (the target) in
+the parallel topology, ``fi`` (party i) and ``r{i+1}`` (party i+1) in the
+series one.  Until then a pair is counted in the ledger but holds no
+amplitudes, so early operations act on smaller arrays.  :attr:`Network.state`,
+:attr:`Network.register`, :meth:`Network.label_at` and
+:meth:`Network.held_qubits` show live qubits only.
 """
 
 from __future__ import annotations
@@ -68,11 +63,6 @@ from .statevector import (
 MAX_REGISTER_QUBITS = 22
 
 _SQRT_HALF = 1 / math.sqrt(2)
-
-
-class Role(Enum):
-    CONTROL = "control"
-    TARGET = "target"
 
 
 class TopologyKind(Enum):
@@ -125,7 +115,6 @@ class ClassicalMessage:
 @dataclass(slots=True)
 class Party:
     id: int
-    role: Role
     inbox: list[ClassicalMessage] = field(default_factory=list)
 
 
@@ -296,12 +285,13 @@ def _apply(
 class Network:
     """Mutable protocol-execution context.
 
-    The register is one ``(rows, 2^qubits)`` array, one row per input at
-    first.  A forced outcome keeps that half of every row and an
-    :class:`Unforced` one keeps both, so after k unforced measurements row
-    ``input * 2^k + b`` holds branch ``b`` of that input (outcome bits in
-    measurement order, first most significant).  Rows are never
-    renormalized: a row's squared norm is its branch probability.
+    The register is one ``(rows, 2^qubits)`` array over the live qubits (see
+    the module docstring for their order), one row per input at first.  A
+    forced outcome keeps that half of every row and an :class:`Unforced` one
+    keeps both, so after k unforced measurements row ``input * 2^k + b``
+    holds branch ``b`` of that input (outcome bits in measurement order,
+    first most significant).  Rows are never renormalized: a row's squared
+    norm is its branch probability.
     Ownership and inbox checks run once per operation whatever the rows and
     bits; ownership is read from the label map, so it follows the register
     as measured qubits leave it.
@@ -329,13 +319,18 @@ class Network:
         self._norms2 = np.ones(register.shape[0])
         self._impossible = np.zeros(register.shape[0], dtype=bool)
         # Bell pairs not yet in the register, by the label of either half.
-        self._pending: dict[str, BellEdge] = {}
+        self._pending = {
+            label: edge
+            for edge in topology.bell_pairs
+            for label in (edge.label_a, edge.label_b)
+        }
 
     # -- register ------------------------------------------------------------
 
     @property
     def state(self) -> StateVector | None:
-        """The register's one row, normalized; ``None`` when it has several."""
+        """The register's one row over its live qubits, normalized; ``None``
+        when it has several."""
         if self._amps.shape[0] != 1:
             return None
         return StateVector(len(self._labels), self._amps[0] / math.sqrt(self.probabilities[0]))
@@ -363,9 +358,9 @@ class Network:
     def qubit_index(self, label: str) -> int:
         """Current global index of the qubit with the given stable label.
 
-        In the verifier's batch a Bell pair joins the register when either
-        of its labels is first resolved: its two halves are tensored in at
-        the end, ``label_a`` then ``label_b``.
+        A Bell pair joins the register when either of its labels is first
+        resolved: its two halves are tensored in at the end, ``label_a``
+        then ``label_b``.
         """
         if label in self._pending:
             self._tensor_in(self._pending[label])
@@ -505,53 +500,6 @@ class Network:
         raise MissingMessage(f"party {party_id} has no message tagged {tag!r}")
 
 
-def _parallel_layout(n: int) -> list[str]:
-    order: list[str] = []
-    for i in range(1, n):
-        order += [f"d{i}", f"e{i}"]
-    order += [f"t{i}" for i in range(1, n)]
-    order.append(f"d{n}")
-    return order
-
-
-def _series_layout(n: int) -> list[str]:
-    order = ["d1", "f1"]
-    for i in range(2, n):
-        order += [f"r{i}", f"d{i}", f"f{i}"]
-    order += [f"r{n}", f"d{n}"]
-    return order
-
-
-def build_network(
-    kind: TopologyKind, n: int, input_state: StateVector
-) -> tuple[Network, StateVector]:
-    """Distribute n-1 Bell pairs around the n-qubit input state.
-
-    ``input_state`` holds the data qubits in party order (qubit i-1 belongs
-    to party i).  This is :func:`build_batch` of that one input, returned
-    with its register as a :class:`StateVector`.
-    """
-    net = build_batch(kind, n, [input_state])
-    return net, net.state
-
-
-def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
-    """Distribute n-1 Bell pairs around each input, one register row per
-    input, in the module docstring's layout; the ledger already accounts for
-    the n-1 distributed ebits.  A run of a protocol that leaves every outcome
-    :class:`Unforced` covers every branch of every input.
-    """
-    return _build(kind, n, inputs)
-
-
-def _data_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
-    """Like :func:`build_batch`, but the register starts as the data qubits
-    ``d1 ... dn`` alone; each Bell pair is tensored in at the end of the
-    register when one of its labels is first resolved
-    (:meth:`Network.qubit_index`).  The ledger counts all n-1 pairs."""
-    return _build(kind, n, inputs, lazy=True)
-
-
 def _bell_edges(kind: TopologyKind, n: int) -> tuple[BellEdge, ...]:
     """The n-1 Bell pairs of a topology, in order of the control party."""
     if kind is TopologyKind.PARALLEL:
@@ -559,9 +507,15 @@ def _bell_edges(kind: TopologyKind, n: int) -> tuple[BellEdge, ...]:
     return tuple(BellEdge(i, f"f{i}", i + 1, f"r{i + 1}") for i in range(1, n))
 
 
-def _build(
-    kind: TopologyKind, n: int, inputs: Sequence[StateVector], lazy: bool = False
-) -> Network:
+def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
+    """Distribute n-1 Bell pairs around each input, one register row per input.
+
+    The register starts as the data qubits ``d1 ... dn`` (qubit i-1 of an
+    input belongs to party i); each pair joins it when first named (see
+    :meth:`Network.qubit_index`).  The ledger already accounts for the n-1
+    distributed ebits.  A run of a protocol that leaves every outcome
+    :class:`Unforced` covers every branch of every input.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
     check_register_size(n)
@@ -576,25 +530,12 @@ def _build(
     for edge in edges:
         owner[edge.label_a] = edge.party_a
         owner[edge.label_b] = edge.party_b
-
-    rows = len(inputs)
-    register = np.stack([state.amplitudes for state in inputs])
-    labels = [f"d{i}" for i in range(1, n + 1)]
-    if not lazy:
-        tensor_order = labels + [lbl for e in edges for lbl in (e.label_a, e.label_b)]
-        for _ in edges:
-            register = (register[:, :, None] * _BELL).reshape(rows, -1)
-        source = {lbl: axis for axis, lbl in enumerate(tensor_order, start=1)}
-        labels = _parallel_layout(n) if kind is TopologyKind.PARALLEL else _series_layout(n)
-        cube = register.reshape((rows,) + (2,) * len(labels))
-        register = cube.transpose([0] + [source[lbl] for lbl in labels]).reshape(rows, -1)
-
-    parties = {
-        pid: Party(pid, Role.TARGET if pid == n else Role.CONTROL)
-        for pid in range(1, n + 1)
-    }
-    topology = Topology(kind, n, edges)
-    net = Network(n, register, labels, owner, parties, topology, CostLedger(ebits=n - 1))
-    if lazy:
-        net._pending = {label: e for e in edges for label in (e.label_a, e.label_b)}
-    return net
+    return Network(
+        n,
+        np.stack([state.amplitudes for state in inputs]),
+        [f"d{i}" for i in range(1, n + 1)],
+        owner,
+        {pid: Party(pid) for pid in range(1, n + 1)},
+        Topology(kind, n, edges),
+        CostLedger(ebits=n - 1),
+    )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import CostLedger, _data_batch, register_qubits
+from .network import CostLedger, build_batch, register_qubits
 from .protocols import (
     ProtocolFamily,
     ProtocolSpec,
@@ -136,7 +136,7 @@ def _force_all(
 
     The batch starts from the data qubits and takes each Bell pair in at its
     first use, so ops before the last pair act on smaller registers."""
-    net = _data_batch(topology_for(spec.family), spec.n, inputs)
+    net = build_batch(topology_for(spec.family), spec.n, inputs)
     run_protocol(spec, net, None, enforce_involution=enforce_involution)
     shape = (len(inputs), 1 << spec.num_measurements)
     probabilities = net.probabilities.reshape(shape)

@@ -5,6 +5,12 @@ registers and the intermediate/final states of each protocol stage, written
 directly from the ket expansions (bitstring -> index into the input
 amplitudes d_0..d_7).  Tests compare simulator output against these literal
 transcriptions rather than against code that shares logic with the simulator.
+
+They are written in the paper's register layout (:func:`paper_layout`).  A
+network starts from the data qubits and appends each Bell pair when it is
+first named, so tests read its live register in the paper's order through
+:func:`in_paper_order`, after :func:`with_all_pairs` where every pair must be
+in.
 """
 
 from __future__ import annotations
@@ -13,7 +19,42 @@ import math
 
 import numpy as np
 
-from telegate import StateVector
+from telegate import Network, StateVector, TopologyKind
+
+
+def paper_layout(kind: TopologyKind, n: int) -> list[str]:
+    """The paper's register order with n parties (party n is the target).
+
+    * parallel: ``d1 e1 d2 e2 ... d{n-1} e{n-1} t1 ... t{n-1} dn``
+    * series: ``d1 f1 | r2 d2 f2 | ... | rn dn``
+    """
+    if kind is TopologyKind.PARALLEL:
+        order = [label for i in range(1, n) for label in (f"d{i}", f"e{i}")]
+        return order + [f"t{i}" for i in range(1, n)] + [f"d{n}"]
+    order = ["d1", "f1"]
+    for i in range(2, n):
+        order += [f"r{i}", f"d{i}", f"f{i}"]
+    return order + [f"r{n}", f"d{n}"]
+
+
+def with_all_pairs(net: Network) -> Network:
+    """``net`` with every Bell pair tensored in, so all 3n - 2 qubits are live."""
+    for edge in net.topology.bell_pairs:
+        net.qubit_index(edge.label_a)
+    return net
+
+
+def in_paper_order(net: Network) -> np.ndarray:
+    """The register's rows with its live qubits permuted into the paper's
+    layout; labels of the layout that are not live are skipped, and no pair
+    is tensored in."""
+    order = paper_layout(net.topology.kind, net.n)
+    rows, size = net.register.shape
+    live = [net.label_at(i) for i in range(size.bit_length() - 1)]
+    axes = [live.index(label) for label in order if label in live]
+    cube = net.register.reshape((rows,) + (2,) * len(live))
+    return cube.transpose([0] + [1 + a for a in axes]).reshape(rows, size)
+
 
 # Initial 7-qubit register for the parallel layout (order: d1 e1 d2 e2 t1 t2 d3),
 # every term carrying coefficient d_i / 2.

@@ -18,7 +18,6 @@ from telegate import (
     StateVector,
     basis_state,
     brute_force_oracle,
-    build_network,
     check_costs,
     enumerate_branches,
     fidelity_up_to_phase,
@@ -148,12 +147,12 @@ def test_criterion_3_series_ch_basis_rows_for_many_involutions():
         costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 5)
     # the two worked rows: both controls set cancels the involution,
     # a single set control applies it once
-    net, _ = build_network(topology_for(SERIES_CH), 3, basis_state(3, "110"))
+    net = build_batch(topology_for(SERIES_CH), 3, [basis_state(3, "110")])
     unchanged = run_series_simultaneous_ch(net, hadamard(), (0, 0, 0, 0))
     rows_ok = rows_ok and np.allclose(
         unchanged.amplitudes, basis_state(3, "110").amplitudes, atol=1e-10
     )
-    net, _ = build_network(topology_for(SERIES_CH), 3, basis_state(3, "010"))
+    net = build_batch(topology_for(SERIES_CH), 3, [basis_state(3, "010")])
     once = run_series_simultaneous_ch(net, hadamard(), (0, 0, 0, 0))
     h_on_zero = np.zeros(8, dtype=complex)
     h_on_zero[0b010] = h_on_zero[0b011] = 1 / np.sqrt(2)
@@ -196,7 +195,7 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
     rows_ok = True
     costs_ok = True
     for branch in _branches(3):
-        net, _ = build_network(topology_for(SERIES_NCU), 3, StateVector(3, d))
+        net = build_batch(topology_for(SERIES_NCU), 3, [StateVector(3, d)])
         out = run_series_ncu(net, payload, branch)
         rows_ok = rows_ok and np.allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
         costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 4)
@@ -205,7 +204,7 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
         expected_basis = series_ncu_final(
             basis_state(3, bits).amplitudes, payload.matrix
         )
-        net, _ = build_network(topology_for(SERIES_NCU), 3, basis_state(3, bits))
+        net = build_batch(topology_for(SERIES_NCU), 3, [basis_state(3, bits)])
         out = run_series_ncu(net, payload, (1, 0, 1, 1))
         rows_ok = rows_ok and np.allclose(
             out.amplitudes, expected_basis.amplitudes, atol=1e-10
@@ -215,11 +214,11 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
     toffoli[6:, 6:] = np.array([[0, 1], [1, 0]])
     toffoli_ok = True
     for idx in range(8):
-        net, _ = build_network(topology_for(SERIES_NCU), 3, basis_state(3, format(idx, "03b")))
+        net = build_batch(topology_for(SERIES_NCU), 3, [basis_state(3, format(idx, "03b"))])
         out = run_series_ncu(net, pauli_x(), (0, 1, 1, 0))
         toffoli_ok = toffoli_ok and np.allclose(out.amplitudes, toffoli[:, idx], atol=1e-10)
     psi = random_state(3, 56)
-    net, _ = build_network(topology_for(SERIES_NCU), 3, psi)
+    net = build_batch(topology_for(SERIES_NCU), 3, [psi])
     out = run_series_ncu(net, pauli_x(), (1, 1, 0, 0))
     toffoli_ok = toffoli_ok and (
         fidelity_up_to_phase(out, StateVector(3, toffoli @ psi.amplitudes))
@@ -305,7 +304,7 @@ class _MutatingNetwork(Network):
 
 
 def _armed_mutant(family, n, psi, k):
-    net, _ = build_network(topology_for(family), n, psi)
+    net = build_batch(topology_for(family), n, [psi])
     mutant = _MutatingNetwork.__new__(_MutatingNetwork)
     mutant.__dict__.update(net.__dict__)
     mutant._mutate_at = k

@@ -20,13 +20,13 @@ from telegate import (
     ProtocolFamily,
     ProtocolSpec,
     basis_state,
+    build_batch,
     random_involution,
     random_state,
     random_unitary,
     run_protocol,
     topology_for,
 )
-from telegate.network import _data_batch
 from telegate.verify import _force_all
 
 FIXTURE = Path(__file__).parent / "data" / "batch-digests.json"
@@ -77,7 +77,7 @@ def batch_digests() -> dict[str, str]:
             [ledger.ebits, ledger.cbits],
         ]
         if spec.n <= ROWS_UP_TO_N:
-            net = _data_batch(topology_for(spec.family), spec.n, inputs)
+            net = build_batch(topology_for(spec.family), spec.n, inputs)
             run_protocol(spec, net, None, enforce_involution=enforce_involution)
             pinned.append(_rounded(net.register))
         digests[name] = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()

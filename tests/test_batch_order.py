@@ -1,10 +1,10 @@
 """The verifier's batch: ops in a derived order, Bell pairs tensored in at first use.
 
-``verify._force_all`` runs on a network that starts from the data qubits and
-in an order derived from the op list.  Its probabilities, fidelities,
-impossibility flags and ledger must equal those of an eager
-``build_batch`` run in written order, and its register must stay small
-until the pairs it needs are in.
+``verify._force_all`` runs in an order derived from the op list, on a network
+that starts from the data qubits.  Its probabilities, fidelities,
+impossibility flags and ledger must equal those of a ``build_batch`` run in
+written order, and its register must stay small until the pairs it needs
+are in.
 """
 
 import itertools
@@ -40,7 +40,7 @@ ATOL = 1e-12
 
 
 def _written_order_run(spec, inputs, enforce_involution):
-    """``_force_all``'s arrays from an eager batch run in written order."""
+    """``_force_all``'s arrays from a batch run in written order."""
     net = build_batch(topology_for(spec.family), spec.n, inputs)
     ops = _checked_ops(spec, enforce_involution)
     _interpret(ops, net, [Unforced(k) for k in range(spec.num_measurements)])
@@ -54,18 +54,18 @@ def _written_order_run(spec, inputs, enforce_involution):
 
 
 def _assert_same_as_written_order(spec, inputs, enforce_involution=True):
-    lazy = verify._force_all(spec, inputs, enforce_involution)
-    eager = _written_order_run(spec, inputs, enforce_involution)
-    for got, expected in zip(lazy[:3], eager[:3]):
+    derived = verify._force_all(spec, inputs, enforce_involution)
+    written = _written_order_run(spec, inputs, enforce_involution)
+    for got, expected in zip(derived[:3], written[:3]):
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
-    assert (lazy[3].ebits, lazy[3].cbits) == (eager[3].ebits, eager[3].cbits)
-    return lazy
+    assert (derived[3].ebits, derived[3].cbits) == (written[3].ebits, written[3].cbits)
+    return derived
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_lazy_pairs_match_the_eager_written_order_run(family, n):
+def test_derived_order_matches_the_written_order_run(family, n):
     rng = np.random.default_rng(300 + n)
     payload = random_involution(n) if family is SERIES_CH else random_unitary(n)
     bits = format(int(rng.integers(1 << n)), f"0{n}b")
@@ -74,7 +74,7 @@ def test_lazy_pairs_match_the_eager_written_order_run(family, n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_non_involutory_series_ch_matches_the_eager_run(n):
+def test_non_involutory_series_ch_matches_the_written_order_run(n):
     spec = ProtocolSpec(SERIES_CH, n, random_unitary(310 + n))
     inputs = [basis_state(n, "1" * n), random_state(n, 320 + n)]
     _, fidelities, _, _ = _assert_same_as_written_order(spec, inputs, enforce_involution=False)
@@ -125,6 +125,31 @@ def test_parallel_cu_register_stays_small_until_the_second_pair(monkeypatch):
     assert first >= 6
     assert max(size for size, _ in seen[:first]) <= m << (n + 2)
     assert max(size for size, _ in seen) == m << (3 * n - 2)
+
+
+def test_series_runs_in_written_order_hold_at_most_2n_qubits(monkeypatch):
+    # Each relay's pair arrives as the previous one is measured, so a forced
+    # series run never holds more than the n data qubits and n live halves;
+    # parallel-cu's CX ops all come first and reach 3n - 2.
+    n = 8
+    seen = []
+
+    def recording(method):
+        def wrapper(self, *args, **kwargs):
+            seen.append(len(self._labels))
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("local_apply", "apply_if", "local_measure"):
+        monkeypatch.setattr(Network, name, recording(getattr(Network, name)))
+    for family in (SERIES_CH, SERIES_NCU):
+        seen.clear()
+        payload = random_involution(370) if family is SERIES_CH else random_unitary(370)
+        spec = ProtocolSpec(family, n, payload)
+        net = build_batch(topology_for(family), n, [random_state(n, 371)])
+        run_protocol(spec, net, [0] * spec.num_measurements)
+        assert seen and max(seen) <= 2 * n, family
 
 
 def test_reordered_outcome_bits_are_the_written_order_measurements():

@@ -19,7 +19,6 @@ from telegate import (
     ProtocolFamily,
     ProtocolSpec,
     basis_state,
-    build_network,
     enumerate_branches,
     fidelity_up_to_phase,
     oracle_effect,
@@ -45,7 +44,7 @@ ATOL = 1e-12
 
 def _forced(spec, state, bits, enforce_involution=True):
     """(probability, fidelity, impossible, (ebits, cbits), final) of one forced branch."""
-    net, _ = build_network(topology_for(spec.family), spec.n, state)
+    net = build_batch(topology_for(spec.family), spec.n, [state])
     try:
         final = run_protocol(spec, net, bits, enforce_involution=enforce_involution)
     except ImpossibleBranchError:
@@ -104,7 +103,7 @@ def test_non_involutory_series_ch_matches_its_forced_run(n):
 def test_impossible_outcome_is_flagged_like_the_forced_run():
     # d1 of |000> is 0 for certain, so outcome 1 is impossible
     state = basis_state(3, "000")
-    net, _ = build_network(TopologyKind.SERIES, 3, state)
+    net = build_batch(TopologyKind.SERIES, 3, [state])
     with pytest.raises(ImpossibleBranchError):
         net.local_measure(1, net.qubit_index("d1"), MeasurementBasis.COMPUTATIONAL, 1)
     batch = build_batch(TopologyKind.SERIES, 3, [state])
@@ -181,7 +180,7 @@ class TestBatchChecks:
     def test_an_unforced_run_on_a_built_network_is_the_batch_run(self, family):
         spec = ProtocolSpec(family, 3, random_involution(98))
         for state in _inputs(3, 99):
-            net, _ = build_network(topology_for(family), 3, state)
+            net = build_batch(topology_for(family), 3, [state])
             assert run_protocol(spec, net, None) is None
             assert net.register.shape[0] == 16
             batch = build_batch(topology_for(family), 3, [state])

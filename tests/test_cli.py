@@ -82,6 +82,9 @@ def test_series_ch_rejects_non_involutory_payload(capsys):
         ["run", "--family", "parallel-cu", "--payload", "matrix:[[[1,null],0],[0,1]]"],
         ["run", "--family", "parallel-cu", "--payload", "matrix:[[1,0],5]"],
         ["run", "--family", "parallel-cu", "--seed", "-1"],
+        # JSON nested deeper than the parser's recursion limit
+        ["run", "--family", "parallel-cu", "--inputs", "[" * 50_000],
+        ["run", "--family", "parallel-cu", "--payload", "matrix:" + "[" * 50_000],
         # one random input over the limit is refused before any input is built
         [
             "run", "--family", "parallel-cu", "--n", "2",

@@ -8,7 +8,6 @@ from telegate import (
     LocalityViolation,
     ProtocolFamily,
     ProtocolSpec,
-    build_network,
     hadamard,
     measurement_schedule,
     pauli_x,
@@ -16,6 +15,7 @@ from telegate import (
     topology_for,
 )
 from telegate.network import Unforced, build_batch
+from reference_states import with_all_pairs
 
 
 def _owner(label: str, n: int) -> int:
@@ -49,10 +49,8 @@ def test_gate_refused_iff_index_is_foreign(case):
     n = spec.n
     kind = topology_for(spec.family)
     unforced = any(isinstance(outcome, Unforced) for _, outcome in measured)
-    if unforced:
-        net = build_batch(kind, n, [random_state(n, 0), random_state(n, 1)])
-    else:
-        net, _ = build_network(kind, n, random_state(n, 0))
+    inputs = [random_state(n, 0), random_state(n, 1)] if unforced else [random_state(n, 0)]
+    net = with_all_pairs(build_batch(kind, n, inputs))
     live = [net.label_at(i) for i in range(3 * n - 2)]
     for (who, label, basis), outcome in measured:
         net.local_measure(who, net.qubit_index(label), basis, outcome)

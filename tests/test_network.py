@@ -11,11 +11,9 @@ from telegate import (
     LocalityViolation,
     MeasurementBasis,
     MissingMessage,
-    Role,
     StateVector,
     TopologyKind,
     basis_state,
-    build_network,
     controlled,
     hadamard,
     pauli_x,
@@ -31,9 +29,11 @@ from conftest import (
     projected_remainder,
 )
 from reference_states import (
+    in_paper_order,
     parallel_register_state,
     random_coefficients,
     series_register_state,
+    with_all_pairs,
 )
 
 COMP = MeasurementBasis.COMPUTATIONAL
@@ -58,60 +58,55 @@ def _held_labels(net, party_id):
 class TestBuildNetwork:
     def test_parallel_three_party_register(self):
         d = random_coefficients(1)
-        net, state = build_network(TopologyKind.PARALLEL, 3, StateVector(3, d))
+        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)]))
         np.testing.assert_allclose(
-            state.amplitudes, parallel_register_state(d).amplitudes, atol=1e-12
+            in_paper_order(net)[0], parallel_register_state(d).amplitudes, atol=1e-12
         )
         assert net.ledger.ebits == 2
 
     def test_series_three_party_register(self):
         d = random_coefficients(2)
-        net, state = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
         np.testing.assert_allclose(
-            state.amplitudes, series_register_state(d).amplitudes, atol=1e-12
+            in_paper_order(net)[0], series_register_state(d).amplitudes, atol=1e-12
         )
         assert net.ledger.ebits == 2
 
     @pytest.mark.parametrize("kind", [TopologyKind.PARALLEL, TopologyKind.SERIES])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_ebits_equal_edge_count(self, kind, n):
-        net, _ = build_network(kind, n, random_state(n, 0))
+        net = build_batch(kind, n, [random_state(n, 0)])
         assert net.ledger.ebits == n - 1
         assert len(net.topology.bell_pairs) == n - 1
 
     def test_parallel_edges_all_touch_target_never_each_other(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 5, random_state(5, 1))
+        net = build_batch(TopologyKind.PARALLEL, 5, [random_state(5, 1)])
         for edge in net.topology.bell_pairs:
             assert edge.party_b == 5
             assert edge.party_a != 5
         assert len({e.party_a for e in net.topology.bell_pairs}) == 4
 
     def test_series_edges_form_the_path(self):
-        net, _ = build_network(TopologyKind.SERIES, 5, random_state(5, 1))
+        net = build_batch(TopologyKind.SERIES, 5, [random_state(5, 1)])
         assert [(e.party_a, e.party_b) for e in net.topology.bell_pairs] == [
             (1, 2), (2, 3), (3, 4), (4, 5),
         ]
 
-    def test_roles(self):
-        net, _ = build_network(TopologyKind.SERIES, 4, random_state(4, 2))
-        assert net.parties[4].role is Role.TARGET
-        assert all(net.parties[i].role is Role.CONTROL for i in (1, 2, 3))
-
     def test_series_ownership_blocks(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 3))
+        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 3)]))
         assert _held_labels(net, 1) == {"d1", "f1"}
         assert _held_labels(net, 2) == {"r2", "d2", "f2"}
         assert _held_labels(net, 3) == {"r3", "d3"}
-        assert [net.label_at(i) for i in range(7)] == ["d1", "f1", "r2", "d2", "f2", "r3", "d3"]
+        assert [net.label_at(i) for i in range(7)] == ["d1", "d2", "d3", "f1", "r2", "f2", "r3"]
 
     def test_parallel_ownership_blocks(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 3))
+        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 3)]))
         assert _held_labels(net, 1) == {"d1", "e1"}
         assert _held_labels(net, 2) == {"d2", "e2"}
         assert _held_labels(net, 3) == {"t1", "t2", "d3"}
 
     def test_ownership_is_a_partition(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 4, random_state(4, 4))
+        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 4, [random_state(4, 4)]))
         held = [net.held_qubits(p) for p in net.parties]
         union = set().union(*held)
         assert union == set(range(10))
@@ -119,58 +114,61 @@ class TestBuildNetwork:
 
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
-            build_network(TopologyKind.PARALLEL, 1, random_state(1, 0))
+            build_batch(TopologyKind.PARALLEL, 1, [random_state(1, 0)])
 
     def test_rejects_input_size_mismatch(self):
         with pytest.raises(ValueError):
-            build_network(TopologyKind.SERIES, 3, random_state(2, 0))
+            build_batch(TopologyKind.SERIES, 3, [random_state(2, 0)])
 
 
 class TestLocalOperations:
     def test_party_may_touch_its_own_qubits(self):
-        net, state = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)]))
+        before = net.register.copy()
         targets = [net.qubit_index("d1"), net.qubit_index("e1")]
         net.local_apply(1, CX, targets)
-        expected = _apply_matrix(state.amplitudes[None], 7, CX.matrix, targets)
+        expected = _apply_matrix(before, 7, CX.matrix, targets)
         np.testing.assert_allclose(net.register, expected, rtol=0, atol=1e-12)
 
     def test_relay_party_controls_both_halves(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 5))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
         net.local_apply(2, CX, [net.qubit_index("r2"), net.qubit_index("f2")])
         net.local_apply(2, CX, [net.qubit_index("d2"), net.qubit_index("f2")])
 
     def test_gate_on_foreign_qubit_aborts(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
         with pytest.raises(LocalityViolation):
             net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("d3")])
 
     def test_measuring_foreign_qubit_aborts(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 5))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
         with pytest.raises(LocalityViolation):
             net.local_measure(2, net.qubit_index("d3"), COMP, 0)
 
     def test_measurement_discards_and_reindexes(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 6))
+        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 6)]))
+        assert net.qubit_index("r2") == 4
         net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
         net.local_measure(1, net.qubit_index("f1"), COMP, 0)
         assert net.state.num_qubits == 6
         assert _held_labels(net, 1) == {"d1"}
-        assert net.qubit_index("r2") == 1
+        assert net.qubit_index("r2") == 3
         held = [net.held_qubits(p) for p in net.parties]
         assert set().union(*held) == set(range(6))
 
     def test_forced_bell_half_outcomes_are_fair_coins(self):
         d = random_coefficients(7)
-        net, state = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
+        state = net.state
         q = net.qubit_index("f1")
         for outcome in (0, 1):
             assert abs(computational_projector_probability(state, q, outcome) - 0.5) < 1e-10
         q6 = net.qubit_index("r3")
         for outcome in (0, 1):
             assert abs(hadamard_projector_probability(state, q6, outcome) - 0.5) < 1e-10
-        fresh, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+        fresh = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
         assert abs(fresh.local_measure(1, q, COMP, 0) - 0.5) < 1e-10
-        fresh, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+        fresh = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
         assert abs(fresh.local_measure(3, q6, HAD, 1) - 0.5) < 1e-10
 
 
@@ -179,7 +177,7 @@ class TestCorrections:
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_foreign_or_missing_qubit_raises_whatever_the_bit(self, bit):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
         net.send_cbit(1, 3, bit, "e1")
         before = net.register.copy()
         for index in (net.qubit_index("d1"), 99, -1):
@@ -188,7 +186,7 @@ class TestCorrections:
         np.testing.assert_array_equal(net.register, before)
 
     def test_unknown_party_is_refused(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
         net.send_cbit(1, 3, 0, "e1")
         with pytest.raises(LocalityViolation):
             net.apply_if(99, pauli_x(), [net.qubit_index("t1")], ["e1"])
@@ -197,7 +195,7 @@ class TestCorrections:
 
     @pytest.mark.parametrize("bit, fires", [(0, False), (1, True)])
     def test_a_forced_correction_acts_only_when_it_fires(self, bit, fires):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 5))
+        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)]))
         net.send_cbit(1, 3, bit, "e1")
         before = net.register.copy()
         t1 = net.qubit_index("t1")
@@ -211,8 +209,9 @@ class TestMeasurementBoundary:
 
     @staticmethod
     def _networks():
-        yield build_network(TopologyKind.SERIES, 3, random_state(3, 8))[0]
-        yield build_batch(TopologyKind.SERIES, 3, [random_state(3, 8), random_state(3, 9)])
+        yield with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 8)]))
+        inputs = [random_state(3, 8), random_state(3, 9)]
+        yield with_all_pairs(build_batch(TopologyKind.SERIES, 3, inputs))
 
     @pytest.mark.parametrize("basis", ["computational", "hadamard", 0, None])
     def test_basis_must_be_a_measurement_basis(self, basis):
@@ -222,7 +221,7 @@ class TestMeasurementBoundary:
                 with pytest.raises(ValueError, match="MeasurementBasis"):
                     net.local_measure(1, net.qubit_index("f1"), basis, outcome)
             np.testing.assert_array_equal(net.register, before)
-            assert net.label_at(1) == "f1"
+            assert net.label_at(3) == "f1"
 
     @pytest.mark.parametrize("outcome", [1.0, True, False, 2, -1, "1", None, np.float64(0)])
     def test_forced_outcome_must_be_an_integer_bit(self, outcome):
@@ -232,10 +231,10 @@ class TestMeasurementBoundary:
                 net.local_measure(1, net.qubit_index("f1"), COMP, outcome)
             assert repr(outcome) in str(raised.value)
             np.testing.assert_array_equal(net.register, before)
-            assert net.label_at(1) == "f1"
+            assert net.label_at(3) == "f1"
 
     def test_numpy_integer_outcomes_are_bits(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 8))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 8)])
         assert abs(net.local_measure(1, net.qubit_index("f1"), COMP, np.int64(1)) - 0.5) < 1e-10
 
 
@@ -247,7 +246,7 @@ class TestBornRule:
     def test_every_qubit_both_bases_both_outcomes(self, kind, n, rng):
         for _ in range(3):
             psi = random_state(n, rng)
-            _, register = build_network(kind, n, psi)
+            register = with_all_pairs(build_batch(kind, n, [psi])).state
             for q in range(register.num_qubits):
                 for basis, born in (
                     (COMP, computational_projector_probability),
@@ -255,7 +254,7 @@ class TestBornRule:
                 ):
                     probabilities = []
                     for outcome in (0, 1):
-                        net, _ = build_network(kind, n, psi)
+                        net = with_all_pairs(build_batch(kind, n, [psi]))
                         (party,) = [p for p in net.parties if q in net.held_qubits(p)]
                         prob = net.local_measure(party, q, basis, outcome)
                         assert abs(prob - born(register, q, outcome)) < 1e-12
@@ -273,8 +272,8 @@ class TestForcedMeasurement:
     """Worked single-branch measurements on small registers."""
 
     def test_bell_half_computational_zero(self):
-        # series n=2 on |00>: d1 f1 r2 d2 = |0> (|00> + |11>)/sqrt(2) |0>
-        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        # series n=2 on |00>: d1 d2 f1 r2 = |0> |0> (|00> + |11>)/sqrt(2)
+        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         prob = net.local_measure(1, net.qubit_index("f1"), COMP, 0)
         assert abs(prob - 0.5) < 1e-12
         np.testing.assert_allclose(
@@ -282,22 +281,24 @@ class TestForcedMeasurement:
         )
 
     def test_bell_half_hadamard_minus_leaves_partner_in_minus(self):
-        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         prob = net.local_measure(1, net.qubit_index("f1"), HAD, 1)
         assert abs(prob - 0.5) < 1e-12
+        # d1 d2 r2
         np.testing.assert_allclose(
-            net.state.amplitudes, np.kron(np.kron(ZERO, MINUS), ZERO), atol=1e-12
+            net.state.amplitudes, np.kron(np.kron(ZERO, ZERO), MINUS), atol=1e-12
         )
 
     def test_plus_in_hadamard_basis_is_certain(self):
         plus_zero = StateVector(2, np.array([1, 0, 1, 0]) / np.sqrt(2))
-        net, _ = build_network(TopologyKind.SERIES, 2, plus_zero)
+        net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [plus_zero]))
         prob = net.local_measure(1, net.qubit_index("d1"), HAD, 0)
         assert abs(prob - 1.0) < 1e-12
-        np.testing.assert_allclose(net.state.amplitudes, np.kron(BELL, ZERO), atol=1e-12)
+        # d2 f1 r2
+        np.testing.assert_allclose(net.state.amplitudes, np.kron(ZERO, BELL), atol=1e-12)
 
     def test_impossible_outcome_raises_and_leaves_the_register(self):
-        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         before = net.register.copy()
         with pytest.raises(ImpossibleBranchError):
             net.local_measure(1, net.qubit_index("d1"), COMP, 1)
@@ -310,7 +311,7 @@ class TestForcedMeasurement:
         for _ in range(10):
             psi = random_state(2, rng)
             for outcome in (0, 1):
-                net, _ = build_network(TopologyKind.SERIES, 2, psi)
+                net = build_batch(TopologyKind.SERIES, 2, [psi])
                 net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
                 prob = net.local_measure(1, net.qubit_index("f1"), COMP, outcome)
                 assert abs(prob - 0.5) < 1e-10
@@ -324,7 +325,7 @@ class TestBatchedMeasurement:
         inputs = [random_state(3, rng) for _ in range(3)]
         for kind in KINDS:
             for q in range(7):
-                net = build_batch(kind, 3, inputs)
+                net = with_all_pairs(build_batch(kind, 3, inputs))
                 net.local_measure(_owner(net, q), q, basis, Unforced(0))
                 probabilities = net.probabilities
                 assert probabilities.shape == (6,)
@@ -339,11 +340,11 @@ class TestBatchedMeasurement:
         inputs = [random_state(3, rng) for _ in range(2)]
         for q in range(7):
             for basis in (COMP, HAD):
-                batch = build_batch(kind, 3, inputs)
+                batch = with_all_pairs(build_batch(kind, 3, inputs))
                 batch.local_measure(_owner(batch, q), q, basis, Unforced(0))
                 for i, psi in enumerate(inputs):
                     for outcome in (0, 1):
-                        net, _ = build_network(kind, 3, psi)
+                        net = with_all_pairs(build_batch(kind, 3, [psi]))
                         prob = net.local_measure(_owner(net, q), q, basis, outcome)
                         row = 2 * i + outcome
                         assert abs(batch.probabilities[row] - prob) < 1e-12
@@ -357,10 +358,10 @@ class TestBatchedMeasurement:
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_rows_are_the_single_registers(self, kind, rng):
         inputs = [random_state(4, rng) for _ in range(3)]
-        batch = build_batch(kind, 4, inputs)
+        batch = with_all_pairs(build_batch(kind, 4, inputs))
         assert batch.state is None
         for row, psi in zip(batch.register, inputs):
-            _, register = build_network(kind, 4, psi)
+            register = with_all_pairs(build_batch(kind, 4, [psi])).state
             np.testing.assert_allclose(row, register.amplitudes, rtol=0, atol=1e-12)
 
 
@@ -370,8 +371,8 @@ class TestForcedRows:
     def test_forced_rows_keep_their_branch_probability(self, rng):
         inputs = [random_state(3, rng) for _ in range(3)]
         for kind in KINDS:
-            batch = build_batch(kind, 3, inputs)
-            split = build_batch(kind, 3, inputs)
+            batch = with_all_pairs(build_batch(kind, 3, inputs))
+            split = with_all_pairs(build_batch(kind, 3, inputs))
             for k, (q, basis) in enumerate(((1, HAD), (4, COMP))):
                 label = batch.label_at(q)
                 assert batch.local_measure(_owner(batch, q), q, basis, 1) is None
@@ -401,11 +402,12 @@ class TestForcedRows:
         assert batch.label_at(0) == "d1" and not batch.impossible.any()
 
     def test_the_state_is_the_normalized_row(self):
-        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "00"))
+        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         net.local_measure(1, net.qubit_index("f1"), HAD, 1)
         assert abs(net.probabilities[0] - 0.5) < 1e-12
+        # d1 d2 r2
         np.testing.assert_allclose(
-            net.state.amplitudes, np.kron(np.kron(ZERO, MINUS), ZERO), atol=1e-12
+            net.state.amplitudes, np.kron(np.kron(ZERO, ZERO), MINUS), atol=1e-12
         )
 
 
@@ -413,8 +415,8 @@ class TestDiscard:
     """A measured qubit leaves the register and later indices shift down."""
 
     def test_certain_outcome_leaves_the_rest_unchanged(self):
-        # series n=2 on |01>: measuring d2 gives 1 with certainty
-        net, _ = build_network(TopologyKind.SERIES, 2, basis_state(2, "01"))
+        # series n=2 on |01>: measuring d2 gives 1 with certainty, leaving d1 f1 r2
+        net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [basis_state(2, "01")]))
         prob = net.local_measure(2, net.qubit_index("d2"), COMP, 1)
         assert abs(prob - 1.0) < 1e-12
         np.testing.assert_allclose(net.state.amplitudes, np.kron(ZERO, BELL), atol=1e-12)
@@ -423,7 +425,7 @@ class TestDiscard:
     def test_later_indices_shift_down_by_one(self, kind):
         psi = random_state(4, 12)
         for q in range(10):
-            net, _ = build_network(kind, 4, psi)
+            net = with_all_pairs(build_batch(kind, 4, [psi]))
             before = [net.label_at(i) for i in range(10)]
             net.local_measure(_owner(net, q), q, COMP, 0)
             after = [net.label_at(i) for i in range(9)]
@@ -437,7 +439,7 @@ class TestDiscard:
         for _ in range(10):
             kind = KINDS[int(rng.integers(2))]
             n = int(rng.integers(2, 5))
-            net, _ = build_network(kind, n, random_state(n, rng))
+            net = with_all_pairs(build_batch(kind, n, [random_state(n, rng)]))
             for size in range(3 * n - 2, 1, -1):
                 q = int(rng.integers(size))
                 basis, born = (
@@ -459,7 +461,7 @@ class TestDiscard:
         for _ in range(10):
             kind = KINDS[int(rng.integers(2))]
             psi = random_state(3, rng)
-            net, _ = build_network(kind, 3, psi)
+            net = with_all_pairs(build_batch(kind, 3, [psi]))
             a, b = rng.choice(7, size=2, replace=False)
             if _owner(net, a) == _owner(net, b):
                 continue
@@ -471,7 +473,7 @@ class TestDiscard:
                 (label_b, basis_b),
                 (label_a, basis_a),
             ):
-                net, _ = build_network(kind, 3, psi)
+                net = with_all_pairs(build_batch(kind, 3, [psi]))
                 joint = 1.0
                 for label, basis in order:
                     q = net.qubit_index(label)
@@ -484,53 +486,53 @@ class TestDiscard:
 
 class TestClassicalBus:
     def test_single_send_costs_one_cbit(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         net.send_cbit(1, 2, 1, "m")
         assert net.ledger.cbits == 1
 
     def test_broadcast_costs_per_recipient(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 9)])
         net.send_cbit(3, 1, 0, "h")
         net.send_cbit(3, 2, 0, "h")
         assert net.ledger.cbits == 2
 
     def test_recipient_reads_nonrecipient_cannot(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         net.send_cbit(1, 3, 1, "m")
         assert net.read_cbit(3, "m") == 1
         with pytest.raises(MissingMessage):
             net.read_cbit(2, "m")
 
     def test_read_before_send_is_a_protocol_bug(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         with pytest.raises(MissingMessage):
             net.read_cbit(2, "never-sent")
 
     def test_read_does_not_consume(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         net.send_cbit(1, 3, 1, "m")
         assert net.read_cbit(3, "m") == 1
         assert net.read_cbit(3, "m") == 1
 
     def test_self_send_rejected(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         with pytest.raises(ValueError):
             net.send_cbit(2, 2, 0, "m")
 
     @pytest.mark.parametrize("bit", [2, -1, True, 1.0, 1.5, "1", None, np.float64(1)])
     def test_non_binary_bit_rejected(self, bit):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         with pytest.raises(ValueError, match="integer 0 or 1"):
             net.send_cbit(1, 2, bit, "m")
         assert net.ledger.cbits == 0 and net.parties[2].inbox == []
 
     def test_numpy_integer_bits_are_bits(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 9))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         net.send_cbit(1, 2, np.int64(1), "m")
         assert net.read_cbit(2, "m") == 1 and net.ledger.cbits == 1
 
     def test_cbits_monotone_and_ebits_frozen(self):
-        net, _ = build_network(TopologyKind.SERIES, 4, random_state(4, 10))
+        net = build_batch(TopologyKind.SERIES, 4, [random_state(4, 10)])
         seen = [net.ledger.cbits]
         for step, (src, dst) in enumerate([(1, 2), (2, 3), (3, 4), (4, 1)]):
             net.send_cbit(src, dst, step % 2, f"t{step}")
@@ -543,9 +545,9 @@ class TestIndependentNetworks:
     def test_networks_from_one_input_share_no_state(self):
         psi = random_state(3, 11)
         before = psi.amplitudes.copy()
-        net, _ = build_network(TopologyKind.SERIES, 3, psi)
+        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [psi]))
         register = net.register.copy()
-        other, _ = build_network(TopologyKind.SERIES, 3, psi)
+        other = build_batch(TopologyKind.SERIES, 3, [psi])
         other.local_apply(1, CX, [other.qubit_index("d1"), other.qubit_index("f1")])
         other.local_measure(1, other.qubit_index("f1"), COMP, 0)
         other.send_cbit(1, 2, 0, "f1")
@@ -557,7 +559,8 @@ class TestIndependentNetworks:
         np.testing.assert_array_equal(psi.amplitudes, before)
 
     def test_register_view_is_read_only(self):
-        net, state = build_network(TopologyKind.PARALLEL, 3, random_state(3, 11))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 11)])
+        state = net.state
         with pytest.raises(ValueError):
             net.register[0, 0] = 1.0
         with pytest.raises(ValueError):

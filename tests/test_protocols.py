@@ -14,7 +14,7 @@ from telegate import (
     TopologyKind,
     TopologyMismatch,
     basis_state,
-    build_network,
+    build_batch,
     controlled,
     fidelity_up_to_phase,
     hadamard,
@@ -36,6 +36,7 @@ from telegate.cli import record_trace
 from telegate.gates import Gate
 from conftest import single_qubit_purity
 from reference_states import (
+    in_paper_order,
     parallel_after_target_ops,
     parallel_final,
     random_coefficients,
@@ -142,8 +143,14 @@ class TestSpecValidation:
             ProtocolSpec(PARALLEL, 10**6, random_unitary(0)).validate()
 
 
+def _stage_state(net):
+    """The network's one row, normalized, in the paper's layout of the hand
+    expansions."""
+    return in_paper_order(net)[0] / np.sqrt(net.probabilities[0])
+
+
 def _drive_parallel_to_target_ops(d, payload, m_a, m_b):
-    net, _ = build_network(TopologyKind.PARALLEL, 3, StateVector(3, d))
+    net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
     cu = controlled(payload)
     net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("e1")])
     net.local_apply(2, CX, [net.qubit_index("d2"), net.qubit_index("e2")])
@@ -168,7 +175,7 @@ class TestParallelProtocol:
         for m_a, m_b in itertools.product((0, 1), repeat=2):
             net = _drive_parallel_to_target_ops(d, payload, m_a, m_b)
             np.testing.assert_allclose(
-                net.state.amplitudes, expected.amplitudes, atol=1e-10
+                _stage_state(net), expected.amplitudes, atol=1e-10
             )
 
     def test_every_branch_reproduces_the_hand_expansion(self):
@@ -176,14 +183,14 @@ class TestParallelProtocol:
         payload = random_unitary(13)
         expected = parallel_final(d, payload.matrix)
         for branch in _branches(3):
-            net, _ = build_network(TopologyKind.PARALLEL, 3, StateVector(3, d))
+            net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
             out = run_parallel_simultaneous_cu(net, payload, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 4)
 
     def test_both_controls_set_applies_payload_twice(self):
         payload = random_unitary(14)
-        net, _ = build_network(TopologyKind.PARALLEL, 3, basis_state(3, "110"))
+        net = build_batch(TopologyKind.PARALLEL, 3, [basis_state(3, "110")])
         out = run_parallel_simultaneous_cu(net, payload, (0, 1, 1, 0))
         expected = np.zeros(8, dtype=complex)
         squared = payload.matrix @ payload.matrix
@@ -192,7 +199,7 @@ class TestParallelProtocol:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
 
     def test_single_control_applies_hadamard_once(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, basis_state(3, "010"))
+        net = build_batch(TopologyKind.PARALLEL, 3, [basis_state(3, "010")])
         out = run_parallel_simultaneous_cu(net, hadamard(), (1, 1, 0, 1))
         expected = np.zeros(8, dtype=complex)
         expected[0b010] = 1 / np.sqrt(2)
@@ -202,7 +209,7 @@ class TestParallelProtocol:
     def test_identity_payload_is_a_noop(self):
         d = random_coefficients(15)
         for branch in _branches(3):
-            net, _ = build_network(TopologyKind.PARALLEL, 3, StateVector(3, d))
+            net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
             out = run_parallel_simultaneous_cu(net, identity(), branch)
             np.testing.assert_allclose(out.amplitudes, d, atol=1e-10)
 
@@ -226,7 +233,7 @@ class TestParallelProtocol:
 
 
 def _drive_series_forward(d, m2):
-    net, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+    net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
     net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
     net.local_measure(1, net.qubit_index("f1"), COMP, m2)
     net.send_cbit(1, 2, m2, "f1")
@@ -244,7 +251,7 @@ class TestSeriesSimultaneousCH:
             net.local_apply(2, CX, [net.qubit_index("r2"), net.qubit_index("f2")])
             net.local_apply(2, CX, [net.qubit_index("d2"), net.qubit_index("f2")])
             np.testing.assert_allclose(
-                net.state.amplitudes, expected.amplitudes, atol=1e-10
+                _stage_state(net), expected.amplitudes, atol=1e-10
             )
 
     def test_state_after_target_controlled_payload(self):
@@ -263,7 +270,7 @@ class TestSeriesSimultaneousCH:
                 3, controlled(payload), [net.qubit_index("r3"), net.qubit_index("d3")]
             )
             np.testing.assert_allclose(
-                net.state.amplitudes, expected.amplitudes, atol=1e-10
+                _stage_state(net), expected.amplitudes, atol=1e-10
             )
 
     def test_every_branch_reproduces_the_hand_expansion(self):
@@ -271,7 +278,7 @@ class TestSeriesSimultaneousCH:
         payload = random_involution(23)
         expected = series_ch_final(d, payload.matrix)
         for branch in _branches(3):
-            net, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+            net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
             out = run_series_simultaneous_ch(net, payload, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 5)
@@ -301,12 +308,12 @@ class TestSeriesSimultaneousCH:
         # both controls set: the involution fires twice and cancels;
         # exactly one control set: it fires once
         for branch in [(0, 0, 0, 0), (1, 0, 1, 1)]:
-            net, _ = build_network(TopologyKind.SERIES, 3, basis_state(3, "110"))
+            net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, "110")])
             out = run_series_simultaneous_ch(net, hadamard(), branch)
             np.testing.assert_allclose(
                 out.amplitudes, basis_state(3, "110").amplitudes, atol=1e-10
             )
-            net, _ = build_network(TopologyKind.SERIES, 3, basis_state(3, "010"))
+            net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, "010")])
             out = run_series_simultaneous_ch(net, hadamard(), branch)
             expected = np.zeros(8, dtype=complex)
             expected[0b010] = 1 / np.sqrt(2)
@@ -315,17 +322,17 @@ class TestSeriesSimultaneousCH:
 
     def test_four_party_costs(self):
         payload = random_involution(25)
-        net, _ = build_network(TopologyKind.SERIES, 4, random_state(4, 25))
+        net = build_batch(TopologyKind.SERIES, 4, [random_state(4, 25)])
         run_series_simultaneous_ch(net, payload, (0,) * 6)
         assert (net.ledger.ebits, net.ledger.cbits) == (3, 9)
 
     def test_non_involutory_payload_rejected(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 26))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 26)])
         with pytest.raises(InvolutionRequired):
             run_series_simultaneous_ch(net, random_unitary(26), (0, 0, 0, 0))
 
     def test_bypass_flag_allows_the_run(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 26))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 26)])
         out = run_series_simultaneous_ch(
             net, random_unitary(26), (0, 0, 0, 0), enforce_involution=False
         )
@@ -344,7 +351,7 @@ class TestSeriesNControlledU:
                 [net.qubit_index("r2"), net.qubit_index("d2"), net.qubit_index("f2")],
             )
             np.testing.assert_allclose(
-                net.state.amplitudes, expected.amplitudes, atol=1e-10
+                _stage_state(net), expected.amplitudes, atol=1e-10
             )
 
     def test_state_after_target_controlled_payload(self):
@@ -366,7 +373,7 @@ class TestSeriesNControlledU:
                 3, controlled(payload), [net.qubit_index("r3"), net.qubit_index("d3")]
             )
             np.testing.assert_allclose(
-                net.state.amplitudes, expected.amplitudes, atol=1e-10
+                _stage_state(net), expected.amplitudes, atol=1e-10
             )
 
     def test_state_after_first_backward_hop(self):
@@ -395,7 +402,7 @@ class TestSeriesNControlledU:
                     2, controlled(pauli_z()), [net.qubit_index("r2"), net.qubit_index("d2")]
                 )
             np.testing.assert_allclose(
-                net.state.amplitudes, expected.amplitudes, atol=1e-10
+                _stage_state(net), expected.amplitudes, atol=1e-10
             )
 
     def test_every_branch_reproduces_the_hand_expansion(self):
@@ -403,7 +410,7 @@ class TestSeriesNControlledU:
         payload = random_unitary(34)
         expected = series_ncu_final(d, payload.matrix)
         for branch in _branches(3):
-            net, _ = build_network(TopologyKind.SERIES, 3, StateVector(3, d))
+            net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
             out = run_series_ncu(net, payload, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 4)
@@ -413,7 +420,7 @@ class TestSeriesNControlledU:
         toffoli[6:, 6:] = np.array([[0, 1], [1, 0]])
         for idx in range(8):
             bits = format(idx, "03b")
-            net, _ = build_network(TopologyKind.SERIES, 3, basis_state(3, bits))
+            net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, bits)])
             out = run_series_ncu(net, pauli_x(), (0, 1, 1, 0))
             np.testing.assert_allclose(out.amplitudes, toffoli[:, idx], atol=1e-10)
 
@@ -442,7 +449,7 @@ class TestDegenerateTwoParty:
         psi = random_state(2, 41)
         expected = oracle_effect(spec, psi)
         for branch in _branches(2):
-            net, _ = build_network(topology_for(family), 2, psi)
+            net = build_batch(topology_for(family), 2, [psi])
             out = run_protocol(spec, net, branch)
             assert fidelity_up_to_phase(out, expected) >= 1 - 1e-10
             assert (net.ledger.ebits, net.ledger.cbits) == (1, 2)
@@ -490,10 +497,10 @@ class TestLinearity:
         branch = (1, 0, 0, 1)
         basis_outputs = []
         for idx in range(8):
-            net, _ = build_network(topology_for(family), 3, basis_state(3, format(idx, "03b")))
+            net = build_batch(topology_for(family), 3, [basis_state(3, format(idx, "03b"))])
             basis_outputs.append(run_protocol(spec, net, branch).amplitudes)
         coeffs = random_coefficients(61)
-        net, _ = build_network(topology_for(family), 3, StateVector(3, coeffs))
+        net = build_batch(topology_for(family), 3, [StateVector(3, coeffs)])
         combined = run_protocol(spec, net, branch)
         weighted = sum(c * out for c, out in zip(coeffs, basis_outputs))
         assert (
@@ -508,7 +515,7 @@ class TestEntanglementPreservation:
         spec = ProtocolSpec(family, 3, payload)
         psi = random_state(3, 62)  # generically entangled
         ideal = oracle_effect(spec, psi)
-        net, _ = build_network(topology_for(family), 3, psi)
+        net = build_batch(topology_for(family), 3, [psi])
         out = run_protocol(spec, net, (1, 1, 0, 1))
         for q in range(3):
             assert abs(single_qubit_purity(out, q) - single_qubit_purity(ideal, q)) < 1e-10
@@ -516,35 +523,35 @@ class TestEntanglementPreservation:
 
 class TestRunErrors:
     def test_parallel_runner_rejects_series_network(self):
-        net, _ = build_network(TopologyKind.SERIES, 3, random_state(3, 71))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 71)])
         with pytest.raises(TopologyMismatch):
             run_parallel_simultaneous_cu(net, random_unitary(71), (0, 0, 0, 0))
 
     def test_series_runners_reject_parallel_network(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 71))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 71)])
         with pytest.raises(TopologyMismatch):
             run_series_ncu(net, random_unitary(71), (0, 0, 0, 0))
         with pytest.raises(TopologyMismatch):
             run_series_simultaneous_ch(net, hadamard(), (0, 0, 0, 0))
 
     def test_spec_and_network_must_agree_on_n(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 4, random_state(4, 71))
+        net = build_batch(TopologyKind.PARALLEL, 4, [random_state(4, 71)])
         with pytest.raises(TopologyMismatch):
             run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(71)), net, (0,) * 4)
 
     def test_branch_length_checked(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 72))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
         with pytest.raises(ValueError):
             run_parallel_simultaneous_cu(net, random_unitary(72), (0, 0))
 
     def test_branch_bits_checked(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 72))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
         with pytest.raises(ValueError):
             run_parallel_simultaneous_cu(net, random_unitary(72), (0, 0, 2, 0))
 
     @pytest.mark.parametrize("bit", [True, 1.0, np.float64(1), "1", None])
     def test_branch_bits_must_be_integers(self, bit):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 72))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
         before = net.register.copy()
         with pytest.raises(ValueError, match="integer outcome bits"):
             run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(72)), net, [bit, 0, 0, 0])
@@ -552,6 +559,6 @@ class TestRunErrors:
         assert net.ledger.cbits == 0
 
     def test_non_unitary_payload_rejected(self):
-        net, _ = build_network(TopologyKind.PARALLEL, 3, random_state(3, 73))
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 73)])
         with pytest.raises(ValueError):
             run_parallel_simultaneous_cu(net, Gate(1, np.ones((2, 2)), "ones"), (0,) * 4)

@@ -24,7 +24,7 @@ from telegate import (
     ProtocolFamily,
     ProtocolSpec,
     StateVector,
-    build_network,
+    build_batch,
     random_involution,
     random_state,
     random_unitary,
@@ -38,6 +38,7 @@ from conftest import (
     naive_embedded_matrix,
     projected_remainder,
 )
+from reference_states import with_all_pairs
 
 GOLDEN_TRACES = [
     json.loads(path.read_text())
@@ -60,7 +61,8 @@ def _apply_events(spec, state, events) -> np.ndarray:
     """The register after ``events`` alone, each gate as a dense embedded
     matrix and each measurement as a brute-force projection whose Born
     probability must be the recorded one."""
-    net, register = build_network(topology_for(spec.family), spec.n, state)
+    net = with_all_pairs(build_batch(topology_for(spec.family), spec.n, [state]))
+    register = net.state
     labels = [net.label_at(i) for i in range(register.num_qubits)]
     gates = {op.gate.label: op.gate for op in _checked_ops(spec, True) if isinstance(op, LocalGate)}
     amps = register.amplitudes

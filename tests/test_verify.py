@@ -211,13 +211,13 @@ class TestUniformity:
 
 class TestDeterminismAcrossBranches:
     def test_branch_outputs_are_pairwise_identical(self):
-        from telegate import build_network, run_protocol, topology_for
+        from telegate import build_batch, run_protocol, topology_for
 
         spec = ProtocolSpec(PARALLEL, 3, random_unitary(16))
         psi = random_state(3, 16)
         outputs = []
         for branch in itertools.product((0, 1), repeat=4):
-            net, _ = build_network(topology_for(PARALLEL), 3, psi)
+            net = build_batch(topology_for(PARALLEL), 3, [psi])
             outputs.append(run_protocol(spec, net, branch))
         for a, b in itertools.combinations(outputs, 2):
             assert fidelity_up_to_phase(a, b) >= 1 - 1e-10
@@ -225,11 +225,11 @@ class TestDeterminismAcrossBranches:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_cost_formulas_hold_out_to_six_parties(self, family):
         # one complete branch per size is enough: the ledger is outcome-free
-        from telegate import build_network, run_protocol, topology_for
+        from telegate import build_batch, run_protocol, topology_for
 
         for n in range(2, 7):
             spec = ProtocolSpec(family, n, _payload_for(family, seed=17))
-            net, _ = build_network(topology_for(family), n, basis_state(n, "0" * n))
+            net = build_batch(topology_for(family), n, [basis_state(n, "0" * n)])
             run_protocol(spec, net, [0] * (2 * (n - 1)))
             assert check_costs(spec, net.ledger)
             assert (net.ledger.ebits, net.ledger.cbits) == expected_costs(family, n)
