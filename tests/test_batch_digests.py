@@ -4,14 +4,16 @@
 n = 2..6, plus non-involutory ``series-ch`` at n = 3..5, each over two
 seeded Haar inputs and one basis input.  A digest covers ``_force_all``'s
 probabilities and fidelities (rounded to 1e-12), its impossibility flags and
-its ledger; for n <= 5 it also covers the final register rows of the same
-batch run (rounded to 1e-12).  Any change to what the batch computes shows
-here.  Regenerate the fixture only for a deliberate change of results:
+its ledger; it also covers the final register rows of the same batch run,
+rounded to 1e-12 and hashed as little-endian doubles: every row for
+n <= 5, and every 16th branch of each input at n = 6.  Any change to what
+the batch computes shows here.  Regenerate the fixture only for a deliberate change of results:
 ``PYTHONPATH=src python tests/test_batch_digests.py``.
 """
 
 import hashlib
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ FIXTURE = Path(__file__).parent / "data" / "batch-digests.json"
 PAYLOAD_SEED = 11
 INPUT_SEED = 12
 ROWS_UP_TO_N = 5
+ROW_STRIDE = 16  # above ROWS_UP_TO_N, the final rows of every 16th branch
 
 
 def _cases():
@@ -57,9 +60,12 @@ def _inputs(n: int):
 
 def _rounded(values: np.ndarray) -> list:
     """``values`` rounded to 1e-12, with -0.0 read as 0.0."""
-    if np.iscomplexobj(values):
-        values = np.stack([values.real, values.imag], axis=-1)
     return (np.round(values, 12) + 0.0).tolist()
+
+
+def _rounded_bytes(values: np.ndarray) -> bytes:
+    """``values`` rounded to 1e-12, with -0.0 read as 0.0, as little-endian doubles."""
+    return (np.round(values, 12) + 0.0).astype("<c16").tobytes()
 
 
 def batch_digests() -> dict[str, str]:
@@ -76,11 +82,13 @@ def batch_digests() -> dict[str, str]:
             impossible.tolist(),
             [ledger.ebits, ledger.cbits],
         ]
-        if spec.n <= ROWS_UP_TO_N:
-            net = build_batch(topology_for(spec.family), spec.n, inputs)
-            run_protocol(spec, net, None, enforce_involution=enforce_involution)
-            pinned.append(_rounded(net.register))
-        digests[name] = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+        net = build_batch(topology_for(spec.family), spec.n, inputs)
+        run_protocol(spec, net, None, enforce_involution=enforce_involution)
+        rows = net.register.reshape(len(inputs), 1 << spec.num_measurements, -1)
+        stride = 1 if spec.n <= ROWS_UP_TO_N else ROW_STRIDE
+        digest = hashlib.sha256(json.dumps(pinned).encode())
+        digest.update(_rounded_bytes(rows[:, ::stride]))
+        digests[name] = digest.hexdigest()
     return digests
 
 
@@ -88,6 +96,16 @@ def test_batches_match_their_recorded_digests():
     recorded = json.loads(FIXTURE.read_text())
     assert len(recorded) == 18
     assert batch_digests() == recorded
+
+
+def test_only_the_n2_pair_shares_a_digest():
+    # parallel-cu and series-ncu are the same protocol at n = 2 (one pair,
+    # the same payload); every other case must pin results of its own
+    cases = defaultdict(list)
+    for name, digest in json.loads(FIXTURE.read_text()).items():
+        cases[digest].append(name)
+    shared = [names for names in cases.values() if len(names) > 1]
+    assert shared == [["parallel-cu 2", "series-ncu 2"]]
 
 
 if __name__ == "__main__":
