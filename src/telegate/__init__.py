@@ -40,10 +40,7 @@ from .protocols import (
     ProtocolSpec,
     measurement_schedule,
     oracle_effect,
-    run_parallel_simultaneous_cu,
     run_protocol,
-    run_series_ncu,
-    run_series_simultaneous_ch,
     topology_for,
 )
 from .verify import (
@@ -89,10 +86,7 @@ __all__ = [
     "ProtocolSpec",
     "measurement_schedule",
     "oracle_effect",
-    "run_parallel_simultaneous_cu",
     "run_protocol",
-    "run_series_ncu",
-    "run_series_simultaneous_ch",
     "topology_for",
     "brute_force_oracle",
     "check_costs",

@@ -7,9 +7,11 @@ party touching a qubit it does not hold raises :class:`LocalityViolation`,
 which is the core safety property of the model.  The register holds one row
 per input and branch: a measurement given a forced outcome keeps that half of
 every row, and one left :class:`Unforced` keeps both, so one run can hold
-every branch of many inputs.  A network keeps no record of the operations
-run on it: :mod:`telegate.cli` renders a forced branch's events from the
-protocol's op list.
+every branch of many inputs.  An unforced outcome names its measurement's
+place in the protocol's written order, and its bit takes that place in the
+row index whatever order the measurements run in.  A network keeps no
+record of the operations run on it: :mod:`telegate.cli` renders a forced
+branch's events from the protocol's op list.
 
 Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
 last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
@@ -39,6 +41,7 @@ amplitudes, so early operations act on smaller arrays.  :attr:`Network.state`,
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -141,8 +144,10 @@ def check_register_size(n: int) -> None:
 class Unforced:
     """A measurement outcome left open: every row splits in two, one per value.
 
-    ``index`` counts the unforced measurements before this one.  It names the
-    outcome's bit in the branch part of a row index, most significant first.
+    ``index`` is the measurement's place in the protocol's written order.
+    The outcome's bit sits in the branch part of a row index at the rank of
+    ``index`` among the unforced outcomes taken so far, most significant
+    first, so once every one is taken the rows are in written order.
     """
 
     index: int
@@ -162,17 +167,19 @@ def _row_norms2(amps: np.ndarray) -> np.ndarray:
 
 
 def _measured(
-    amps: np.ndarray, q: int, basis: MeasurementBasis, outcomes: Sequence[int] = (0, 1)
+    amps: np.ndarray, q: int, basis: MeasurementBasis, outcomes: Sequence[int], lead: int
 ) -> np.ndarray:
-    """A new ``(rows, len(outcomes), ...)`` array: each row projected onto each
-    of ``outcomes`` of qubit ``q`` in ``basis``, unnormalized, ``q`` removed."""
+    """A new ``(lead, len(outcomes), rows // lead, ...)`` array: each row
+    projected onto each of ``outcomes`` of qubit ``q`` in ``basis``,
+    unnormalized, ``q`` removed.  The outcome axis splits the row index into
+    ``lead`` blocks."""
     rows = amps.shape[0]
-    cube = amps.reshape(rows, 1 << q, 2, -1)
-    zero, one = cube[:, :, 0], cube[:, :, 1]
-    out = np.empty((rows, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
+    cube = amps.reshape(lead, rows // lead, 1 << q, 2, -1)
+    zero, one = cube[..., 0, :], cube[..., 1, :]
+    out = np.empty((lead, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
     for k, outcome in enumerate(outcomes):
         if basis is MeasurementBasis.COMPUTATIONAL:
-            out[:, k] = cube[:, :, outcome]
+            out[:, k] = cube[..., outcome, :]
         elif outcome == 0:
             np.add(zero, one, out=out[:, k])
         else:
@@ -238,14 +245,16 @@ def _apply(
     num_qubits: int,
     gate: Gate,
     targets: Sequence[int],
-    splits: int = 0,
+    split: Sequence[int] = (),
     bits: Sequence[int | Unforced] | None = None,
 ) -> np.ndarray:
     """Apply ``gate`` on ``targets`` to the ``(rows, 2^num_qubits)`` register.
 
+    ``split`` lists the written indices of the unforced outcomes taken so
+    far, ascending: the branch bits of a row index, most significant first.
     With ``bits``, only the rows whose XOR of those outcome bits is 1: a
-    forced bit counts for every row, and :class:`Unforced` bit ``j`` is bit
-    ``splits - 1 - j`` of the row's branch index.  The gate acts once per
+    forced bit counts for every row, and :class:`Unforced` bit ``w`` is the
+    branch bit at the rank of ``w`` in ``split``.  The gate acts once per
     assignment of the open bits that fires it, on the rows with those
     branch bits fixed; without ``bits``, once on every row.  A gate I ⊕ b
     acts in place on views; any other gate is applied densely to those rows
@@ -255,13 +264,13 @@ def _apply(
     unforced: set[int] = set()
     for bit in bits or ():
         if isinstance(bit, Unforced):
-            unforced ^= {bit.index}  # a bit named twice cancels
+            unforced ^= {split.index(bit.index)}  # a bit named twice cancels
         else:
             flip ^= bit
     block = _block(gate)
     amps = np.ascontiguousarray(amps)  # so that the reshape below is a view
-    cube = amps.reshape((amps.shape[0] >> splits,) + (2,) * (splits + num_qubits))
-    qubit0 = 1 + splits  # the axis of qubit 0
+    cube = amps.reshape((amps.shape[0] >> len(split),) + (2,) * (len(split) + num_qubits))
+    qubit0 = 1 + len(split)  # the axis of qubit 0
     index: list = [slice(None)] * cube.ndim
     for control in targets[:-1]:
         index[qubit0 + control] = 1
@@ -289,9 +298,9 @@ class Network:
     the module docstring for their order), one row per input at first.  A
     forced outcome keeps that half of every row and an :class:`Unforced` one
     keeps both, so after k unforced measurements row ``input * 2^k + b``
-    holds branch ``b`` of that input (outcome bits in measurement order,
-    first most significant).  Rows are never renormalized: a row's squared
-    norm is its branch probability.
+    holds branch ``b`` of that input (outcome bits in the written order of
+    their :class:`Unforced` indices, first most significant).  Rows are never
+    renormalized: a row's squared norm is its branch probability.
     Ownership and inbox checks run once per operation whatever the rows and
     bits; ownership is read from the label map, so it follows the register
     as measured qubits leave it.
@@ -314,7 +323,9 @@ class Network:
         self.parties = parties
         self.topology = topology
         self.ledger = ledger
-        self._splits = 0
+        # Written indices of the unforced outcomes taken, ascending: the
+        # branch bits of a row index, most significant first.
+        self._split: list[int] = []
         # Each row's squared norm as of its last measurement; inputs are normalized.
         self._norms2 = np.ones(register.shape[0])
         self._impossible = np.zeros(register.shape[0], dtype=bool)
@@ -375,28 +386,6 @@ class Network:
         self._labels += [edge.label_a, edge.label_b]
         del self._pending[edge.label_a], self._pending[edge.label_b]
 
-    def _reorder_outcomes(self, axes: Sequence[int]) -> None:
-        """Permute the unforced outcome bits of every row index: bit ``w`` of
-        the new order (most significant first) is bit ``axes[w]`` of the old one;
-        a delivered :class:`Unforced` bit is renamed to match."""
-        if list(axes) == sorted(axes):
-            return
-        renamed = {a: Unforced(w) for w, a in enumerate(axes)}
-        for party in self.parties.values():
-            party.inbox = [
-                ClassicalMessage(m.sender, m.recipient, renamed[m.bit.index], m.tag)
-                if isinstance(m.bit, Unforced)
-                else m
-                for m in party.inbox
-            ]
-        rows = self._amps.shape[0]
-        cube = (rows >> len(axes),) + (2,) * len(axes)
-        perm = (0, *(1 + a for a in axes))
-        amps = self._amps.reshape(cube + (-1,)).transpose(perm + (len(cube),))
-        self._amps = amps.reshape(rows, -1)
-        self._norms2 = self._norms2.reshape(cube).transpose(perm).reshape(rows)
-        self._impossible = self._impossible.reshape(cube).transpose(perm).reshape(rows)
-
     def label_at(self, index: int) -> str:
         return self._labels[index]
 
@@ -431,13 +420,13 @@ class Network:
         targets = list(targets)
         self._check_gate(party_id, gate, targets)
         bits = None if tags is None else [self.read_cbit(party_id, tag) for tag in tags]
-        self._amps = _apply(self._amps, len(self._labels), gate, targets, self._splits, bits)
+        self._amps = _apply(self._amps, len(self._labels), gate, targets, self._split, bits)
 
     def local_measure(
         self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int | Unforced
     ) -> float | None:
         """Measure ``qubit``, keep the half of every row that ``outcome`` names
-        (both halves for the next :class:`Unforced` one) and discard ``qubit``.
+        (both halves for an :class:`Unforced` one) and discard ``qubit``.
 
         A kept row of conditional probability below 1e-12 is flagged
         impossible; a forced outcome no row can take raises
@@ -447,21 +436,28 @@ class Network:
         """
         if not isinstance(basis, MeasurementBasis):
             raise ValueError(f"basis must be a MeasurementBasis, got {basis!r}")
-        if isinstance(outcome, Unforced):
-            if outcome.index != self._splits:
-                raise ValueError(f"expected {Unforced(self._splits)} here, got {outcome!r}")
+        unforced = isinstance(outcome, Unforced)
+        if unforced:
+            if outcome.index < 0 or outcome.index in self._split:
+                raise ValueError(f"{outcome!r} is not a fresh written measurement index")
         elif not _is_bit(outcome):
             raise ValueError(f"outcome must be an integer 0 or 1, got {outcome!r}")
         if not self._holds(party_id, qubit):
             raise LocalityViolation(f"party {party_id} does not hold qubit {qubit}")
         label = self._labels[qubit]
-        outcomes = (0, 1) if isinstance(outcome, Unforced) else (outcome,)
-        amps = _measured(self._amps, qubit, basis, outcomes).reshape(-1, self._amps.shape[1] >> 1)
+        outcomes = (0, 1) if unforced else (outcome,)
+        # an unforced bit goes in at its written index's rank, a forced one last
+        later = len(self._split) - bisect.bisect(self._split, outcome.index) if unforced else 0
+        lead = self._amps.shape[0] >> later
+        amps = _measured(self._amps, qubit, basis, outcomes, lead)
+        amps = amps.reshape(-1, self._amps.shape[1] >> 1)
+
+        def spread(values: np.ndarray) -> np.ndarray:
+            return np.repeat(values.reshape(lead, 1, -1), len(outcomes), axis=1).ravel()
+
         norms2 = _row_norms2(amps)
-        parent = np.repeat(self._norms2, len(outcomes))
-        impossible = np.repeat(self._impossible, len(outcomes)) | (
-            norms2 < IMPOSSIBLE_CUTOFF * parent
-        )
+        parent = spread(self._norms2)
+        impossible = spread(self._impossible) | (norms2 < IMPOSSIBLE_CUTOFF * parent)
         if len(outcomes) == 1 and impossible.all():
             raise ImpossibleBranchError(
                 f"outcome {outcome} on qubit {label} is impossible in every row"
@@ -469,7 +465,8 @@ class Network:
         self._amps = amps
         self._norms2 = norms2
         self._impossible = impossible
-        self._splits += len(outcomes) - 1
+        if unforced:
+            bisect.insort(self._split, outcome.index)
         del self._labels[qubit]
         del self._owner[label]
         return float(norms2[0] / parent[0]) if len(norms2) == 1 else None
@@ -483,7 +480,7 @@ class Network:
         if sender not in self.parties or recipient not in self.parties:
             raise ValueError(f"unknown party in send {sender} -> {recipient}")
         if isinstance(bit, Unforced):
-            if bit.index >= self._splits:
+            if bit.index not in self._split:
                 raise ValueError(f"unforced outcome {bit.index} has not been measured")
         elif not _is_bit(bit):
             raise ValueError(f"cbit must be an integer 0 or 1, got {bit!r}")

@@ -12,7 +12,7 @@ register (party order).  Branch outcomes are supplied up front so that the
 module above can enumerate all of them exhaustively; with no branch given,
 every outcome is left :class:`~telegate.network.Unforced` and one run on a
 batch covers all branches.  :func:`measurement_schedule` reads the same
-list, so the schedule cannot drift from the run.
+validated list, so it refuses what a run refuses and cannot drift from it.
 
 A forced branch runs the list in written order, which is the order of the
 events its trace renders from the list.  An unforced run takes a topological
@@ -20,8 +20,9 @@ order of the same list: an op follows every earlier op that shares one of
 its qubits and every measurement whose outcome it reads, and among the ready
 ops the one touching the lowest-numbered Bell pair runs first.  Each pair's
 ops then run together, so a batch that tensors pairs in at first use keeps
-its register small until the last pair.  The rows' outcome bits are then
-put back in written order.
+its register small until the last pair.  Each measurement's
+:class:`~telegate.network.Unforced` outcome names its written index, which
+places its bit in the row index, so the rows come out in written order.
 
 Families
 --------
@@ -134,6 +135,15 @@ Op = LocalGate | Measure
 
 
 def _parallel_ops(n: int, cu: Gate) -> list[Op]:
+    """Simultaneous controlled-U from n-1 control parties to the target.
+
+    Each control party CNOTs its data qubit onto its Bell half, measures the
+    half and sends the bit to the target.  The target flips its matching
+    halves accordingly, applies controlled-payload from each half onto its
+    data qubit, measures the halves in the Hadamard basis and sends each
+    outcome back; a control party applies a phase fix iff its returned bit
+    is 1.  Costs n-1 ebits and 2(n-1) cbits.
+    """
     controls = range(1, n)
     return [
         *(LocalGate(i, _CX, (f"d{i}", f"e{i}")) for i in controls),
@@ -159,6 +169,20 @@ def _series_forward(n: int, cu: Gate, relay: Sequence[tuple[Gate, str]]) -> list
 
 
 def _series_ch_ops(n: int, cu: Gate) -> list[Op]:
+    """Simultaneous controlled-involution along a path of Bell pairs.
+
+    Forward pass: party 1 CNOTs its data qubit onto its forward half,
+    measures it and sends the bit down the line; each intermediate party
+    fixes its received half, CNOTs both the received half and its own data
+    qubit onto its forward half, measures and forwards.  The target's
+    received half then carries the XOR of all control bits and drives one
+    controlled-payload onto the target data qubit.
+
+    Backward pass: every party measures its received half in the Hadamard
+    basis and broadcasts the outcome to all upstream parties; party i applies
+    a phase fix iff the XOR of all downstream outcomes is 1.  Costs n-1 ebits
+    and (n^2 + n - 2)/2 cbits.
+    """
     ops = _series_forward(n, cu, [(_CX, "rf"), (_CX, "df")])
     ops += [Measure(j, f"r{j}", _HAD, tuple(range(1, j))) for j in range(2, n + 1)]
     ops += [
@@ -169,6 +193,19 @@ def _series_ch_ops(n: int, cu: Gate) -> list[Op]:
 
 
 def _series_ncu_ops(n: int, cu: Gate) -> list[Op]:
+    """n-qubit controlled-U (generalized Toffoli) along a path of Bell pairs.
+
+    Forward pass as in :func:`_series_ch_ops`, except each intermediate
+    party applies a doubly-controlled NOT (controls: received half and its
+    own data qubit), so the relays carry the running AND of the control bits.
+
+    Backward pass is single-hop: the target measures its received half in the
+    Hadamard basis and sends the bit one step upstream; on a 1 each
+    intermediate party applies a controlled phase between its received half
+    and its data qubit (undoing the kicked phase locally), then measures its
+    own half and forwards.  Party 1 finishes with a plain phase fix.  Costs
+    n-1 ebits and 2(n-1) cbits.
+    """
     ops = _series_forward(n, cu, [(_CCX, "rdf")])
     ops.append(Measure(n, f"r{n}", _HAD, (n - 1,)))
     for i in range(n - 1, 1, -1):
@@ -199,11 +236,11 @@ def _touched(op: Op) -> tuple[str, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The order a batch runs ``family``'s ops in, and how to undo it.
+    """The order a batch runs ``family``'s ops in.
 
-    Returns the op indices in run order, and ``axes``: outcome bit ``w`` in
-    written order is bit ``axes[w]`` in run order.  The payload does not
-    change the list's shape, so this is worked out once per (family, n).
+    Returns the op indices in run order, and the written index of each
+    measurement in run order.  The payload does not change the list's shape,
+    so this is worked out once per (family, n).
     """
     ops = _OPS_BY_FAMILY[family](n, _CX)
     pair = {}
@@ -239,14 +276,14 @@ def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple
             waiting[k] -= 1
             if not waiting[k]:
                 heapq.heappush(ready, key(k))
-    run = [j for j in order if isinstance(ops[j], Measure)]
     written = [j for j, op in enumerate(ops) if isinstance(op, Measure)]
-    return tuple(order), tuple(run.index(j) for j in written)
+    return tuple(order), tuple(written.index(j) for j in order if isinstance(ops[j], Measure))
 
 
 def measurement_schedule(spec: ProtocolSpec) -> list[tuple[int, str, MeasurementBasis]]:
-    """The fixed, branch-independent (party, qubit label, basis) sequence."""
-    ops = _OPS_BY_FAMILY[spec.family](spec.n, controlled(spec.payload, 1))
+    """The fixed, branch-independent (party, qubit label, basis) sequence;
+    refuses a spec as :func:`run_protocol` does."""
+    ops = _checked_ops(spec, True)
     return [(op.party, op.qubit, op.basis) for op in ops if isinstance(op, Measure)]
 
 
@@ -309,76 +346,13 @@ def _checked_run(
     ops = _checked_ops(spec, enforce_involution)
     count = spec.num_measurements
     if branch is None:
-        order, axes = _batch_order(spec.family, spec.n)
-        _interpret([ops[j] for j in order], net, [Unforced(k) for k in range(count)])
-        net._reorder_outcomes(axes)
+        order, written = _batch_order(spec.family, spec.n)
+        _interpret([ops[j] for j in order], net, [Unforced(w) for w in written])
         return ops, [None] * count
     branch = list(branch)
     if len(branch) != count or not all(map(_is_bit, branch)):
         raise ValueError(f"branch needs {count} integer outcome bits 0 or 1, got {branch!r}")
     return ops, _interpret(ops, net, branch)
-
-
-def run_parallel_simultaneous_cu(
-    net: Network, payload: Gate, branch: Sequence[int] | None
-) -> StateVector | None:
-    """Simultaneous controlled-U from n-1 control parties to the target.
-
-    Each control party CNOTs its data qubit onto its Bell half, measures the
-    half and sends the bit to the target.  The target flips its matching
-    halves accordingly, applies controlled-payload from each half onto its
-    data qubit, measures the halves in the Hadamard basis and sends each
-    outcome back; a control party applies a phase fix iff its returned bit
-    is 1.  Costs n-1 ebits and 2(n-1) cbits.
-    """
-    spec = ProtocolSpec(ProtocolFamily.PARALLEL_SIMULTANEOUS_CU, net.n, payload)
-    return run_protocol(spec, net, branch)
-
-
-def run_series_simultaneous_ch(
-    net: Network,
-    payload: Gate,
-    branch: Sequence[int] | None,
-    *,
-    enforce_involution: bool = True,
-) -> StateVector | None:
-    """Simultaneous controlled-involution along a path of Bell pairs.
-
-    Forward pass: party 1 CNOTs its data qubit onto its forward half,
-    measures it and sends the bit down the line; each intermediate party
-    fixes its received half, CNOTs both the received half and its own data
-    qubit onto its forward half, measures and forwards.  The target's
-    received half then carries the XOR of all control bits and drives one
-    controlled-payload onto the target data qubit.
-
-    Backward pass: every party measures its received half in the Hadamard
-    basis and broadcasts the outcome to all upstream parties; party i applies
-    a phase fix iff the XOR of all downstream outcomes is 1.  Costs n-1 ebits
-    and (n^2 + n - 2)/2 cbits.  ``enforce_involution`` is as in
-    :func:`run_protocol`.
-    """
-    spec = ProtocolSpec(ProtocolFamily.SERIES_SIMULTANEOUS_CH, net.n, payload)
-    return run_protocol(spec, net, branch, enforce_involution=enforce_involution)
-
-
-def run_series_ncu(
-    net: Network, payload: Gate, branch: Sequence[int] | None
-) -> StateVector | None:
-    """n-qubit controlled-U (generalized Toffoli) along a path of Bell pairs.
-
-    Forward pass as in the involution protocol, except each intermediate
-    party applies a doubly-controlled NOT (controls: received half and its
-    own data qubit), so the relays carry the running AND of the control bits.
-
-    Backward pass is single-hop: the target measures its received half in the
-    Hadamard basis and sends the bit one step upstream; on a 1 each
-    intermediate party applies a controlled phase between its received half
-    and its data qubit (undoing the kicked phase locally), then measures its
-    own half and forwards.  Party 1 finishes with a plain phase fix.  Costs
-    n-1 ebits and 2(n-1) cbits.
-    """
-    spec = ProtocolSpec(ProtocolFamily.SERIES_N_CONTROLLED_U, net.n, payload)
-    return run_protocol(spec, net, branch)
 
 
 def oracle_effect(spec: ProtocolSpec, input_state: StateVector) -> StateVector:

@@ -53,10 +53,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
 

@@ -29,8 +29,6 @@ from telegate import (
     random_state,
     random_unitary,
     run_protocol,
-    run_series_ncu,
-    run_series_simultaneous_ch,
     topology_for,
     verify_inputs,
 )
@@ -138,7 +136,7 @@ def test_criterion_3_series_ch_basis_rows_for_many_involutions():
         # one batched run gives all 16 branches of the 8 basis inputs as rows
         # (input * 16 + branch), each unnormalized by sqrt of its probability
         net = build_batch(topology_for(SERIES_CH), 3, inputs)
-        run_series_simultaneous_ch(net, payload, None)
+        run_protocol(ProtocolSpec(SERIES_CH, net.n, payload), net, None)
         finals = net.register.reshape(8, 16, 8) / np.sqrt(net.probabilities).reshape(8, 16, 1)
         for state, rows in zip(inputs, finals):
             expected = series_ch_final(state.amplitudes, payload.matrix).amplitudes
@@ -148,12 +146,12 @@ def test_criterion_3_series_ch_basis_rows_for_many_involutions():
     # the two worked rows: both controls set cancels the involution,
     # a single set control applies it once
     net = build_batch(topology_for(SERIES_CH), 3, [basis_state(3, "110")])
-    unchanged = run_series_simultaneous_ch(net, hadamard(), (0, 0, 0, 0))
+    unchanged = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, (0, 0, 0, 0))
     rows_ok = rows_ok and np.allclose(
         unchanged.amplitudes, basis_state(3, "110").amplitudes, atol=1e-10
     )
     net = build_batch(topology_for(SERIES_CH), 3, [basis_state(3, "010")])
-    once = run_series_simultaneous_ch(net, hadamard(), (0, 0, 0, 0))
+    once = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, (0, 0, 0, 0))
     h_on_zero = np.zeros(8, dtype=complex)
     h_on_zero[0b010] = h_on_zero[0b011] = 1 / np.sqrt(2)
     rows_ok = rows_ok and np.allclose(once.amplitudes, h_on_zero, atol=1e-10)
@@ -196,7 +194,7 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
     costs_ok = True
     for branch in _branches(3):
         net = build_batch(topology_for(SERIES_NCU), 3, [StateVector(3, d)])
-        out = run_series_ncu(net, payload, branch)
+        out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, payload), net, branch)
         rows_ok = rows_ok and np.allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
         costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 4)
     for idx in range(8):
@@ -205,7 +203,7 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
             basis_state(3, bits).amplitudes, payload.matrix
         )
         net = build_batch(topology_for(SERIES_NCU), 3, [basis_state(3, bits)])
-        out = run_series_ncu(net, payload, (1, 0, 1, 1))
+        out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, payload), net, (1, 0, 1, 1))
         rows_ok = rows_ok and np.allclose(
             out.amplitudes, expected_basis.amplitudes, atol=1e-10
         )
@@ -215,11 +213,11 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
     toffoli_ok = True
     for idx in range(8):
         net = build_batch(topology_for(SERIES_NCU), 3, [basis_state(3, format(idx, "03b"))])
-        out = run_series_ncu(net, pauli_x(), (0, 1, 1, 0))
+        out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, pauli_x()), net, (0, 1, 1, 0))
         toffoli_ok = toffoli_ok and np.allclose(out.amplitudes, toffoli[:, idx], atol=1e-10)
     psi = random_state(3, 56)
     net = build_batch(topology_for(SERIES_NCU), 3, [psi])
-    out = run_series_ncu(net, pauli_x(), (1, 1, 0, 0))
+    out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, pauli_x()), net, (1, 1, 0, 0))
     toffoli_ok = toffoli_ok and (
         fidelity_up_to_phase(out, StateVector(3, toffoli @ psi.amplitudes))
         >= 1 - FIDELITY_ATOL

@@ -7,8 +7,8 @@ probabilities and fidelities (rounded to 1e-12), its impossibility flags and
 its ledger; it also covers the final register rows of the same batch run,
 rounded to 1e-12 and hashed as little-endian doubles: every row for
 n <= 5, and every 16th branch of each input at n = 6.  Any change to what
-the batch computes shows here.  Regenerate the fixture only for a deliberate change of results:
-``PYTHONPATH=src python tests/test_batch_digests.py``.
+the batch computes shows here.  Regenerate the fixture only for a
+deliberate change of results: ``PYTHONPATH=src python tests/test_batch_digests.py``.
 """
 
 import hashlib

@@ -85,7 +85,7 @@ def test_non_involutory_series_ch_matches_the_written_order_run(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_batch_order_is_a_topological_order(family, n):
     ops = _checked_ops(ProtocolSpec(family, n, random_unitary(0)), False)
-    order, axes = _batch_order(family, n)
+    order, written = _batch_order(family, n)
     assert sorted(order) == list(range(len(ops)))
     position = {j: p for p, j in enumerate(order)}
     measured_at = {op.qubit: j for j, op in enumerate(ops) if isinstance(op, Measure)}
@@ -99,10 +99,10 @@ def test_batch_order_is_a_topological_order(family, n):
         if isinstance(op, LocalGate):
             for tag in op.tags:
                 assert position[measured_at[tag]] < position[j], (tag, op)
-    # axes put the run-order outcome bits back in written order
-    written = [j for j, op in enumerate(ops) if isinstance(op, Measure)]
+    # each run-order measurement carries its written index
+    measures = [j for j, op in enumerate(ops) if isinstance(op, Measure)]
     run = [j for j in order if isinstance(ops[j], Measure)]
-    assert [run[a] for a in axes] == written
+    assert [measures[w] for w in written] == run
 
 
 def test_parallel_cu_register_stays_small_until_the_second_pair(monkeypatch):
@@ -152,10 +152,10 @@ def test_series_runs_in_written_order_hold_at_most_2n_qubits(monkeypatch):
         assert seen and max(seen) <= 2 * n, family
 
 
-def test_reordered_outcome_bits_are_the_written_order_measurements():
+def test_outcome_bits_taken_out_of_order_land_in_written_order():
     # Three measurements whose split rows all differ, one of them impossible
-    # on the basis input; taken in written order, and in the order 2, 0, 1
-    # followed by the reordering that puts the bits back.
+    # on the basis input; taken in written order, and in the order 2, 0, 1,
+    # each outcome named by its written index.
     comp, had = MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD
     written = [("d1", comp), ("e1", had), ("t2", comp)]
     inputs = [basis_state(3, "101"), random_state(3, 340)]
@@ -163,25 +163,24 @@ def test_reordered_outcome_bits_are_the_written_order_measurements():
     for order in ([0, 1, 2], [2, 0, 1]):
         net = build_batch(TopologyKind.PARALLEL, 3, inputs)
         net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("e1")])
-        for k, w in enumerate(order):
+        for w in order:
             label, basis = written[w]
             q = net.qubit_index(label)
             owner = next(p for p in net.parties if q in net.held_qubits(p))
-            net.local_measure(owner, q, basis, Unforced(k))
+            net.local_measure(owner, q, basis, Unforced(w))
         nets.append(net)
-    in_order, reordered = nets
-    reordered._reorder_outcomes((1, 2, 0))
+    in_order, out_of_order = nets
     assert in_order.impossible.any()
-    np.testing.assert_array_equal(reordered.impossible, in_order.impossible)
-    np.testing.assert_allclose(reordered.register, in_order.register, rtol=0, atol=ATOL)
+    np.testing.assert_array_equal(out_of_order.impossible, in_order.impossible)
+    np.testing.assert_allclose(out_of_order.register, in_order.register, rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_correction_after_an_unforced_run_reads_the_written_order_bit(family, n):
-    # After the batch's outcome bits are put back in written order, a
-    # correction on any delivered bit acts on the rows of that measurement,
-    # as it does after a run forced on each branch.
+    # The batch's outcome bits are in written order, so a correction on any
+    # delivered bit acts on the rows of that measurement, as it does after a
+    # run forced on each branch.
     payload = random_involution(350 + n) if family is SERIES_CH else random_unitary(350 + n)
     spec = ProtocolSpec(family, n, payload)
     state = random_state(n, 360 + n)

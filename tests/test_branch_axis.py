@@ -133,7 +133,7 @@ def test_a_forced_first_outcome_keeps_that_half_of_the_unforced_run(family):
     ops = _checked_ops(spec, True)
     inputs = _inputs(3, 96)
     runs = []
-    for branch in ([1, Unforced(0), Unforced(1), Unforced(2)], [Unforced(k) for k in range(4)]):
+    for branch in ([1, *map(Unforced, (1, 2, 3))], [Unforced(w) for w in range(4)]):
         net = build_batch(topology_for(family), 3, inputs)
         _interpret(ops, net, branch)
         runs.append(net)
@@ -165,12 +165,28 @@ class TestBatchChecks:
         with pytest.raises(LocalityViolation):
             net.apply_if(3, pauli_x(), [net.qubit_index("d1")], ["e1"])
 
-    def test_unforced_outcomes_come_in_order(self):
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_an_unforced_index_is_fresh_and_written(self, index):
+        # written index 2 is already measured; the refusal leaves the register be
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 2)])
+        comp = MeasurementBasis.COMPUTATIONAL
+        net.local_measure(1, net.qubit_index("e1"), comp, Unforced(2))
+        e2 = net.qubit_index("e2")
+        register, impossible = net.register.copy(), net.impossible
         with pytest.raises(ValueError):
-            net.local_measure(1, net.qubit_index("e1"), MeasurementBasis.COMPUTATIONAL, Unforced(1))
-        with pytest.raises(ValueError):
-            net.send_cbit(1, 3, Unforced(0), "e1")
+            net.local_measure(2, e2, comp, Unforced(index))
+        np.testing.assert_array_equal(net.register, register)
+        np.testing.assert_array_equal(net.impossible, impossible)
+        assert net.label_at(e2) == "e2"
+
+    def test_only_a_measured_unforced_outcome_is_sent(self):
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 2)])
+        net.local_measure(1, net.qubit_index("e1"), MeasurementBasis.COMPUTATIONAL, Unforced(3))
+        for index in (0, 2, 4):
+            with pytest.raises(ValueError):
+                net.send_cbit(1, 3, Unforced(index), "e1")
+        net.send_cbit(1, 3, Unforced(3), "e1")
+        assert net.ledger.cbits == 1
 
     def test_an_unforced_bit_has_no_truth_value(self):
         with pytest.raises(TypeError):

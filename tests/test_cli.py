@@ -82,6 +82,9 @@ def test_series_ch_rejects_non_involutory_payload(capsys):
         ["run", "--family", "parallel-cu", "--payload", "matrix:[[[1,null],0],[0,1]]"],
         ["run", "--family", "parallel-cu", "--payload", "matrix:[[1,0],5]"],
         ["run", "--family", "parallel-cu", "--seed", "-1"],
+        # JSON booleans are not numbers, though Python counts a bool as an int
+        ["run", "--family", "parallel-cu", "--n", "2", "--inputs", "[true,0,0,0]"],
+        ["run", "--family", "parallel-cu", "--payload", "matrix:[[false,true],[true,false]]"],
         # JSON nested deeper than the parser's recursion limit
         ["run", "--family", "parallel-cu", "--inputs", "[" * 50_000],
         ["run", "--family", "parallel-cu", "--payload", "matrix:" + "[" * 50_000],
@@ -211,6 +214,7 @@ def _recorded_trace(tmp_path):
 
 
 _NOT_UNITARY = [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]
+_BOOL_IDENTITY = [[[True, 0], [0, 0]], [[0, 0], [True, False]]]
 
 
 def _without(trace, key):
@@ -229,6 +233,8 @@ def _without(trace, key):
         (lambda t: {**t, "branch": [0.5] + t["branch"][1:]}, "outcome bits"),
         (lambda t: {**t, "payload": {**t["payload"], "label": [1]}}, "label"),
         (lambda t: {**t, "input": [[float("nan"), 0]] + t["input"][1:]}, "not normalized"),
+        (lambda t: {**t, "input": [True] + t["input"][1:]}, "not a number"),
+        (lambda t: {**t, "payload": {**t["payload"], "matrix": _BOOL_IDENTITY}}, "not a number"),
     ],
     ids=[
         "truncated-branch",
@@ -240,6 +246,8 @@ def _without(trace, key):
         "fractional-branch-bit",
         "non-string-label",
         "nan-input",
+        "bool-amplitude",
+        "bool-matrix-entry",
     ],
 )
 def test_malformed_trace_exits_2(tmp_path, capsys, corrupt, message):

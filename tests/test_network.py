@@ -610,29 +610,34 @@ class TestKernels:
         gate = KERNEL_GATES[name]
         num_qubits, inputs = 5, 2
         u0, u1, u2 = Unforced(0), Unforced(1), Unforced(2)
+        three = [0, 1, 2]
         cases = [
-            (3, [u1]),
-            (3, [u2]),
-            (3, [u0, u2]),
-            (3, [u0, u1, u2]),
-            (3, [u1, 0]),
-            (3, [u1, 1]),
-            (3, [1, u0, u2]),
-            (3, [1]),
-            (3, [0]),
+            (three, [u1]),
+            (three, [u2]),
+            (three, [u0, u2]),
+            (three, [u0, u1, u2]),
+            (three, [u1, 0]),
+            (three, [u1, 1]),
+            (three, [1, u0, u2]),
+            (three, [1]),
+            (three, [0]),
             # a bit named twice cancels
-            (3, [u1, u1]),
-            (3, [u0, u1, u0]),
-            (3, [1, u2, u2]),
-            (5, [Unforced(4), u0, Unforced(3), 1, u2, u1]),
+            (three, [u1, u1]),
+            (three, [u0, u1, u0]),
+            (three, [1, u2, u2]),
+            ([0, 1, 2, 3, 4], [Unforced(4), u0, Unforced(3), 1, u2, u1]),
+            # written indices not yet all measured: a bit's axis is its rank
+            ([1, 4, 6], [Unforced(4)]),
+            ([1, 4, 6], [Unforced(6), u1, 1]),
+            ([2, 5], [Unforced(5), u2, Unforced(5)]),
         ]
-        for splits, bits in cases:
-            rows = inputs << splits
+        for split, bits in cases:
+            rows = inputs << len(split)
             index = np.arange(rows)
             parity = np.zeros(rows, dtype=np.int64)
             for bit in bits:
                 if isinstance(bit, Unforced):
-                    parity ^= (index >> (splits - 1 - bit.index)) & 1
+                    parity ^= (index >> (len(split) - 1 - split.index(bit.index))) & 1
                 else:
                     parity ^= bit
             fire = parity.astype(bool)
@@ -641,7 +646,7 @@ class TestKernels:
                 amps = _random_rows(rng, rows, num_qubits)
                 expected = amps.copy()
                 expected[fire] = _apply_matrix(amps[fire], num_qubits, gate.matrix, targets)
-                got = _apply(amps.copy(), num_qubits, gate, targets, splits, bits)
+                got = _apply(amps.copy(), num_qubits, gate, targets, split, bits)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
                 np.testing.assert_array_equal(got[~fire], amps[~fire])
 

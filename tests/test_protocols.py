@@ -26,10 +26,7 @@ from telegate import (
     random_involution,
     random_state,
     random_unitary,
-    run_parallel_simultaneous_cu,
     run_protocol,
-    run_series_ncu,
-    run_series_simultaneous_ch,
     topology_for,
 )
 from telegate.cli import record_trace
@@ -94,6 +91,12 @@ class TestMeasurementSchedule:
     def test_length_is_twice_the_edge_count(self, family, n):
         spec = ProtocolSpec(family, n, _payload_for(family))
         assert len(measurement_schedule(spec)) == 2 * (n - 1)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_refuses_a_spec_over_the_register_limit(self, family):
+        # n = 9 needs a 25-qubit register; the schedule refuses it as a run does
+        with pytest.raises(ValueError, match="limit"):
+            measurement_schedule(ProtocolSpec(family, 9, hadamard()))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_trace_follows_the_schedule(self, family):
@@ -184,14 +187,14 @@ class TestParallelProtocol:
         expected = parallel_final(d, payload.matrix)
         for branch in _branches(3):
             net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
-            out = run_parallel_simultaneous_cu(net, payload, branch)
+            out = run_protocol(ProtocolSpec(PARALLEL, net.n, payload), net, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 4)
 
     def test_both_controls_set_applies_payload_twice(self):
         payload = random_unitary(14)
         net = build_batch(TopologyKind.PARALLEL, 3, [basis_state(3, "110")])
-        out = run_parallel_simultaneous_cu(net, payload, (0, 1, 1, 0))
+        out = run_protocol(ProtocolSpec(PARALLEL, net.n, payload), net, (0, 1, 1, 0))
         expected = np.zeros(8, dtype=complex)
         squared = payload.matrix @ payload.matrix
         expected[0b110] = squared[0, 0]
@@ -200,7 +203,7 @@ class TestParallelProtocol:
 
     def test_single_control_applies_hadamard_once(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [basis_state(3, "010")])
-        out = run_parallel_simultaneous_cu(net, hadamard(), (1, 1, 0, 1))
+        out = run_protocol(ProtocolSpec(PARALLEL, net.n, hadamard()), net, (1, 1, 0, 1))
         expected = np.zeros(8, dtype=complex)
         expected[0b010] = 1 / np.sqrt(2)
         expected[0b011] = 1 / np.sqrt(2)
@@ -210,7 +213,7 @@ class TestParallelProtocol:
         d = random_coefficients(15)
         for branch in _branches(3):
             net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
-            out = run_parallel_simultaneous_cu(net, identity(), branch)
+            out = run_protocol(ProtocolSpec(PARALLEL, net.n, identity()), net, branch)
             np.testing.assert_allclose(out.amplitudes, d, atol=1e-10)
 
     def test_correction_pattern_matches_returned_outcomes(self):
@@ -279,7 +282,7 @@ class TestSeriesSimultaneousCH:
         expected = series_ch_final(d, payload.matrix)
         for branch in _branches(3):
             net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
-            out = run_series_simultaneous_ch(net, payload, branch)
+            out = run_protocol(ProtocolSpec(SERIES_CH, net.n, payload), net, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 5)
 
@@ -309,12 +312,12 @@ class TestSeriesSimultaneousCH:
         # exactly one control set: it fires once
         for branch in [(0, 0, 0, 0), (1, 0, 1, 1)]:
             net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, "110")])
-            out = run_series_simultaneous_ch(net, hadamard(), branch)
+            out = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, branch)
             np.testing.assert_allclose(
                 out.amplitudes, basis_state(3, "110").amplitudes, atol=1e-10
             )
             net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, "010")])
-            out = run_series_simultaneous_ch(net, hadamard(), branch)
+            out = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, branch)
             expected = np.zeros(8, dtype=complex)
             expected[0b010] = 1 / np.sqrt(2)
             expected[0b011] = 1 / np.sqrt(2)
@@ -323,19 +326,18 @@ class TestSeriesSimultaneousCH:
     def test_four_party_costs(self):
         payload = random_involution(25)
         net = build_batch(TopologyKind.SERIES, 4, [random_state(4, 25)])
-        run_series_simultaneous_ch(net, payload, (0,) * 6)
+        run_protocol(ProtocolSpec(SERIES_CH, net.n, payload), net, (0,) * 6)
         assert (net.ledger.ebits, net.ledger.cbits) == (3, 9)
 
     def test_non_involutory_payload_rejected(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 26)])
         with pytest.raises(InvolutionRequired):
-            run_series_simultaneous_ch(net, random_unitary(26), (0, 0, 0, 0))
+            run_protocol(ProtocolSpec(SERIES_CH, net.n, random_unitary(26)), net, (0, 0, 0, 0))
 
     def test_bypass_flag_allows_the_run(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 26)])
-        out = run_series_simultaneous_ch(
-            net, random_unitary(26), (0, 0, 0, 0), enforce_involution=False
-        )
+        spec = ProtocolSpec(SERIES_CH, net.n, random_unitary(26))
+        out = run_protocol(spec, net, (0, 0, 0, 0), enforce_involution=False)
         assert out.num_qubits == 3
 
 
@@ -411,7 +413,7 @@ class TestSeriesNControlledU:
         expected = series_ncu_final(d, payload.matrix)
         for branch in _branches(3):
             net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
-            out = run_series_ncu(net, payload, branch)
+            out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, payload), net, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 4)
 
@@ -421,7 +423,7 @@ class TestSeriesNControlledU:
         for idx in range(8):
             bits = format(idx, "03b")
             net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, bits)])
-            out = run_series_ncu(net, pauli_x(), (0, 1, 1, 0))
+            out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, pauli_x()), net, (0, 1, 1, 0))
             np.testing.assert_allclose(out.amplitudes, toffoli[:, idx], atol=1e-10)
 
     def test_conditional_phase_event_on_target_minus(self):
@@ -525,14 +527,14 @@ class TestRunErrors:
     def test_parallel_runner_rejects_series_network(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 71)])
         with pytest.raises(TopologyMismatch):
-            run_parallel_simultaneous_cu(net, random_unitary(71), (0, 0, 0, 0))
+            run_protocol(ProtocolSpec(PARALLEL, net.n, random_unitary(71)), net, (0, 0, 0, 0))
 
     def test_series_runners_reject_parallel_network(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 71)])
         with pytest.raises(TopologyMismatch):
-            run_series_ncu(net, random_unitary(71), (0, 0, 0, 0))
+            run_protocol(ProtocolSpec(SERIES_NCU, net.n, random_unitary(71)), net, (0, 0, 0, 0))
         with pytest.raises(TopologyMismatch):
-            run_series_simultaneous_ch(net, hadamard(), (0, 0, 0, 0))
+            run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, (0, 0, 0, 0))
 
     def test_spec_and_network_must_agree_on_n(self):
         net = build_batch(TopologyKind.PARALLEL, 4, [random_state(4, 71)])
@@ -542,12 +544,12 @@ class TestRunErrors:
     def test_branch_length_checked(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
         with pytest.raises(ValueError):
-            run_parallel_simultaneous_cu(net, random_unitary(72), (0, 0))
+            run_protocol(ProtocolSpec(PARALLEL, net.n, random_unitary(72)), net, (0, 0))
 
     def test_branch_bits_checked(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
         with pytest.raises(ValueError):
-            run_parallel_simultaneous_cu(net, random_unitary(72), (0, 0, 2, 0))
+            run_protocol(ProtocolSpec(PARALLEL, net.n, random_unitary(72)), net, (0, 0, 2, 0))
 
     @pytest.mark.parametrize("bit", [True, 1.0, np.float64(1), "1", None])
     def test_branch_bits_must_be_integers(self, bit):
@@ -561,4 +563,5 @@ class TestRunErrors:
     def test_non_unitary_payload_rejected(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 73)])
         with pytest.raises(ValueError):
-            run_parallel_simultaneous_cu(net, Gate(1, np.ones((2, 2)), "ones"), (0,) * 4)
+            spec = ProtocolSpec(PARALLEL, net.n, Gate(1, np.ones((2, 2)), "ones"))
+            run_protocol(spec, net, (0,) * 4)
