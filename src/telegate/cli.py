@@ -3,10 +3,10 @@
 Exit codes are stable: 0 success, 1 verification failure or replay
 divergence, 2 configuration error, 3 locality violation (an internal bug in
 a protocol transcription, never expected in normal use).  Trace and report
-files are JSON with a ``"schema": 1`` version field; state amplitudes are
-stored as [re, im] pairs at full double precision, and state hashes are
-computed over amplitudes rounded to 1e-12 so they are stable across
-platforms.
+files are single-line JSON with a ``"schema": 1`` version field; state
+amplitudes are stored as [re, im] pairs at full double precision, and state
+hashes are computed over amplitudes rounded to 1e-12 so they are stable
+across platforms.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -126,8 +127,15 @@ def _normalized_events(events: list[dict]) -> list[dict]:
 
 
 def report_to_dict(report: VerificationReport) -> dict:
+    """The report as JSON data; its branch rows come straight from the worst
+    input's columns, with each row's outcome bits read from its index."""
     spec = report.spec
     ebits, cbits = expected_costs(spec.family, spec.n)
+    table = report.branches
+    ledger = table.ledger
+    shifts = np.arange(spec.num_measurements)[::-1]
+    outcomes = ((np.arange(len(table))[:, None] >> shifts) & 1).tolist()
+    columns = (table.probabilities.tolist(), table.fidelities.tolist(), table.impossible.tolist())
     return {
         "schema": SCHEMA_VERSION,
         "family": spec.family.value,
@@ -142,14 +150,14 @@ def report_to_dict(report: VerificationReport) -> dict:
         "passed": report.passed,
         "branches": [
             {
-                "outcomes": list(b.outcomes),
-                "probability": b.probability,
-                "fidelity": b.fidelity,
-                "ebits": b.ledger.ebits,
-                "cbits": b.ledger.cbits,
-                "impossible": b.impossible,
+                "outcomes": bits,
+                "probability": probability,
+                "fidelity": fidelity,
+                "ebits": ledger.ebits,
+                "cbits": ledger.cbits,
+                "impossible": impossible,
             }
-            for b in report.branches
+            for bits, probability, fidelity, impossible in zip(outcomes, *columns)
         ],
     }
 
@@ -176,6 +184,16 @@ def _parse_inputs(raw: str, n: int) -> tuple[str, int | StateVector]:
     )
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any verification, an output path that is a directory
+    or whose parent directory does not exist."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write output: {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write output: {path}: no directory {parent}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         payload = parse_gate_spec(args.payload)
@@ -185,6 +203,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         mode, detail = _parse_inputs(args.inputs, args.n)
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        for path in (args.report_out, args.trace_out):
+            if path:
+                _check_output_path(path)
     except InvolutionRequired as exc:
         print(f"error: InvolutionRequired: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -202,11 +223,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             trace_input = basis_state(args.n, "0" * args.n)
         if args.report_out:
             with open(args.report_out, "w") as fh:
-                json.dump(report_to_dict(report), fh, indent=2)
+                fh.write(json.dumps(report_to_dict(report)))
         if args.trace_out:
             trace = record_trace(spec, trace_input, [0] * spec.num_measurements)
             with open(args.trace_out, "w") as fh:
-                json.dump(trace, fh, indent=2)
+                fh.write(json.dumps(trace))
     except LocalityViolation as exc:
         print(f"internal error: LocalityViolation: {exc}", file=sys.stderr)
         return EXIT_LOCALITY_VIOLATION

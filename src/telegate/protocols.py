@@ -45,11 +45,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvolutionRequired, TopologyMismatch
 from .gates import Gate, controlled, pauli_x, pauli_z
 from .gates import validate as validate_gate
 from .network import Network, TopologyKind, Unforced, _bell_edges, _is_bit, check_register_size
-from .statevector import MeasurementBasis, StateVector, apply_gate
+from .statevector import MeasurementBasis, StateVector, _apply_matrix
 
 _X = pauli_x()
 _Z = pauli_z()
@@ -355,23 +357,31 @@ def _checked_run(
     return ops, _interpret(ops, net, branch)
 
 
-def oracle_effect(spec: ProtocolSpec, input_state: StateVector) -> StateVector:
-    """Apply the ideal nonlocal gate directly to the data register.
+def _oracle_rows(spec: ProtocolSpec, rows: np.ndarray) -> np.ndarray:
+    """The ideal nonlocal gate applied to every row of ``rows``, an
+    ``(inputs, 2^n)`` array of data-register amplitudes.
 
     The simultaneous families apply the payload once per set control bit
     (a product of two-qubit controlled-payload embeddings); the n-controlled
     family applies one (n-1)-controlled payload.  For involutory payloads the
-    simultaneous effect collapses to payload^(XOR of controls).
+    simultaneous effect collapses to payload^(XOR of controls).  Each
+    application is one dense kernel call over all rows, and no intermediate
+    state is normalized or checked.
     """
+    n = spec.n
+    if spec.family is ProtocolFamily.SERIES_N_CONTROLLED_U:
+        return _apply_matrix(rows, n, controlled(spec.payload, n - 1).matrix, range(n))
+    cu = controlled(spec.payload, 1).matrix
+    for control in range(n - 1):
+        rows = _apply_matrix(rows, n, cu, [control, n - 1])
+    return rows
+
+
+def oracle_effect(spec: ProtocolSpec, input_state: StateVector) -> StateVector:
+    """Apply the ideal nonlocal gate directly to the data register: a one-row
+    :func:`_oracle_rows`."""
     if input_state.num_qubits != spec.n:
         raise ValueError(
             f"input has {input_state.num_qubits} qubits, spec expects {spec.n}"
         )
-    n = spec.n
-    if spec.family is ProtocolFamily.SERIES_N_CONTROLLED_U:
-        return apply_gate(input_state, controlled(spec.payload, n - 1), list(range(n)))
-    cu = controlled(spec.payload, 1)
-    state = input_state
-    for control in range(n - 1):
-        state = apply_gate(state, cu, [control, n - 1])
-    return state
+    return StateVector(spec.n, _oracle_rows(spec, input_state.amplitudes[None])[0])

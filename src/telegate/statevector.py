@@ -7,8 +7,8 @@ one.  Qubit 0 is the leftmost symbol in ket notation: the basis index of
 
 The register itself -- gates, measurements, the branch axis -- runs on raw
 arrays in :mod:`telegate.network`, using this module's gate kernel
-:func:`_apply_matrix`.  :func:`apply_gate` is that kernel's pure, validated
-form, used by the ideal-effect oracle.
+:func:`_apply_matrix`, as does the ideal-effect oracle on its stacked input
+rows.  :func:`apply_gate` is that kernel's pure, validated form.
 """
 
 from __future__ import annotations

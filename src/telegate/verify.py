@@ -25,7 +25,7 @@ from .protocols import (
     ProtocolFamily,
     ProtocolSpec,
     _checked_ops,
-    oracle_effect,
+    _oracle_rows,
     run_protocol,
     topology_for,
 )
@@ -105,7 +105,7 @@ class VerificationReport:
     max_probability_deviation: float
     cost_ok: bool
     probability_sums_ok: bool
-    branches: Sequence[BranchResult]
+    branches: BranchTable
 
     @property
     def passed(self) -> bool:
@@ -135,14 +135,15 @@ def _force_all(
     probability, fidelity and impossibility, and the run's ledger.
 
     The batch starts from the data qubits and takes each Bell pair in at its
-    first use, so ops before the last pair act on smaller registers."""
+    first use, so ops before the last pair act on smaller registers.  The
+    oracle acts once on all inputs stacked as rows."""
     net = build_batch(topology_for(spec.family), spec.n, inputs)
     run_protocol(spec, net, None, enforce_involution=enforce_involution)
     shape = (len(inputs), 1 << spec.num_measurements)
     probabilities = net.probabilities.reshape(shape)
     impossible = net.impossible.reshape(shape)
     final = net.register.reshape(shape + (-1,))
-    targets = np.stack([oracle_effect(spec, state).amplitudes for state in inputs])
+    targets = _oracle_rows(spec, np.stack([state.amplitudes for state in inputs]))
     overlaps = np.abs(np.einsum("mi,mbi->mb", targets.conj(), final)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         fidelities = np.minimum(overlaps / probabilities, 1.0)
@@ -195,14 +196,13 @@ def verify_inputs(
     max_deviation = 0.0
     cost_ok = True
     sums_ok = True
-    worst: Sequence[BranchResult] = ()
     for start in range(0, len(inputs), per_pass):
         probabilities, fidelities, impossible, ledger = _force_all(
             spec, inputs[start : start + per_pass], True
         )
         lows = fidelities.min(axis=1)
         i = int(np.argmin(lows))
-        if lows[i] < min_fidelity:
+        if start == 0 or lows[i] < min_fidelity:
             min_fidelity = float(lows[i])
             worst = BranchTable(
                 probabilities[i].copy(), fidelities[i].copy(), impossible[i].copy(), ledger

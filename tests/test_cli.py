@@ -3,10 +3,20 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from telegate import LocalityViolation
-from telegate.cli import MAX_RANDOM_INPUTS, main
+from telegate import (
+    LocalityViolation,
+    ProtocolFamily,
+    ProtocolSpec,
+    enumerate_branches,
+    random_state,
+    random_unitary,
+    verify_protocol,
+)
+from telegate.cli import MAX_RANDOM_INPUTS, main, report_to_dict
+from telegate.verify import BranchTable, VerificationReport
 
 
 def test_run_passes_and_writes_report_and_trace(tmp_path, capsys):
@@ -103,6 +113,82 @@ def test_config_errors_exit_2(argv, capsys):
         assert captured.out == ""
 
 
+def test_near_unitary_payload_passes_and_replays(tmp_path, capsys):
+    # unitarity residual 8e-11, within the 1e-10 tolerance validate applies
+    trace_path = tmp_path / "trace.json"
+    code = main([
+        "run", "--family", "parallel-cu", "--n", "3", "--inputs", "basis-sweep",
+        "--payload", "matrix:[[1.00000000004,0],[0,1.00000000004]]",
+        "--trace-out", str(trace_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip().splitlines()[-1] == "PASS"
+    assert "Traceback" not in captured.err
+    assert main(["replay", str(trace_path)]) == 0
+
+
+def test_run_output_files_are_single_line_json(tmp_path):
+    report_path, trace_path = tmp_path / "report.json", tmp_path / "trace.json"
+    assert main([
+        "run", "--family", "series-ch", "--n", "3", "--inputs", "random:2",
+        "--report-out", str(report_path), "--trace-out", str(trace_path),
+    ]) == 0
+    for path in (report_path, trace_path):
+        text = path.read_text()
+        assert "\n" not in text and json.loads(text)["schema"] == 1
+
+
+def _render_branch_results(report):
+    """The report rows rendered one BranchResult at a time: the reference."""
+    return [
+        {
+            "outcomes": list(b.outcomes),
+            "probability": b.probability,
+            "fidelity": b.fidelity,
+            "ebits": b.ledger.ebits,
+            "cbits": b.ledger.cbits,
+            "impossible": b.impossible,
+        }
+        for b in report.branches
+    ]
+
+
+def test_report_rows_match_branch_results_on_a_uniform_table():
+    spec = ProtocolSpec(ProtocolFamily.PARALLEL_SIMULTANEOUS_CU, 3, random_unitary(30))
+    report = verify_protocol(spec, num_random_inputs=3, seed=30)
+    rows = report_to_dict(report)["branches"]
+    assert len(rows) == 16 and rows == _render_branch_results(report)
+    assert json.loads(json.dumps(rows)) == rows
+
+
+def _report_of(spec, table):
+    return VerificationReport(
+        spec=spec, trials=1, min_fidelity=float(table.fidelities.min()),
+        max_probability_deviation=0.0, cost_ok=True, probability_sums_ok=True,
+        branches=table,
+    )
+
+
+def test_report_rows_match_branch_results_on_a_non_uniform_table():
+    # Even a non-involutory series-ch payload gives every branch the same
+    # fidelity, bit for bit, so per-branch columns are built from its table.
+    spec = ProtocolSpec(ProtocolFamily.SERIES_SIMULTANEOUS_CH, 3, random_unitary(31))
+    table = enumerate_branches(spec, random_state(3, 31), enforce_involution=False)
+    assert float(table.fidelities.max()) < 1 - 1e-3
+    rng = np.random.default_rng(31)
+    varied = BranchTable(
+        rng.dirichlet(np.ones(16)),
+        table.fidelities * rng.uniform(0.5, 1.0, 16),
+        np.arange(16) % 5 == 0,
+        table.ledger,
+    )
+    for t in (table, varied):
+        report = _report_of(spec, t)
+        rows = report_to_dict(report)["branches"]
+        assert len(rows) == 16 and rows == _render_branch_results(report)
+
+
 def test_unknown_family_exits_2_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--family", "nonsense"])
@@ -120,8 +206,6 @@ def test_locality_violation_exits_3(monkeypatch, capsys):
 
 
 def test_failed_verification_exits_1(monkeypatch, capsys):
-    from telegate.verify import VerificationReport
-
     def fake_verify(spec, *args, **kwargs):
         return VerificationReport(
             spec=spec, trials=1, min_fidelity=0.5, max_probability_deviation=0.0,
@@ -284,6 +368,31 @@ def test_register_limit_exits_2_before_allocating(monkeypatch, tmp_path, capsys)
     assert "limit is 22 qubits" in capsys.readouterr().err
     assert main(["replay", str(trace_path)]) == 2
     assert "limit is 22 qubits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, target",
+    [
+        ("--report-out", "missing/report.json"),
+        ("--trace-out", "missing/trace.json"),
+        ("--report-out", "."),
+        ("--trace-out", "."),
+    ],
+)
+def test_unwritable_output_exits_2_before_verifying(monkeypatch, tmp_path, capsys, option, target):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("telegate.cli.verify_protocol", _must_not_run)
+    monkeypatch.setattr("telegate.cli.verify_inputs", _must_not_run)
+    monkeypatch.setattr("telegate.cli.record_trace", _must_not_run)
+    other = "--trace-out" if option == "--report-out" else "--report-out"
+    code = main([
+        "run", "--family", "parallel-cu", "--n", "5", "--inputs", "random:2",
+        other, "written.json", option, target,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # Schema-1 traces written by an earlier build: one per family at n=3 and n=4,

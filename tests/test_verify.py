@@ -1,6 +1,7 @@
 """Branch enumeration, cost formulas, and the independent effect oracle."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from telegate import (
     verify_inputs,
     verify_protocol,
 )
+from telegate.gates import parse_gate_spec
+from telegate.protocols import _oracle_rows
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
 SERIES_CH = ProtocolFamily.SERIES_SIMULTANEOUS_CH
@@ -139,6 +142,48 @@ class TestVerifyProtocol:
         for b in branches:
             assert b.fidelity >= 1 - 1e-10
         assert fidelity_up_to_phase(oracle_effect(spec, psi), expected) >= 1 - 1e-12
+
+
+# A payload whose unitarity residual, 8e-11, is within the 1e-10 tolerance:
+# the norm it adds per application must not stop a verification.
+NEAR_UNITARY = "matrix:[[1.00000000004,0],[0,1.00000000004]]"
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_equal_brute_force_oracle(self, family, n):
+        spec = ProtocolSpec(family, n, _payload_for(family, seed=20 + n))
+        inputs = [basis_state(n, format(i, f"0{n}b")) for i in range(1 << n)]
+        inputs += [random_state(n, 200 + k) for k in range(3)]
+        rows = _oracle_rows(spec, np.stack([state.amplitudes for state in inputs]))
+        for row, state in zip(rows, inputs):
+            assert np.abs(row - brute_force_oracle(spec, state).amplitudes).max() < 1e-12
+
+    def test_kernel_calls_per_pass_do_not_grow_with_inputs(self, monkeypatch):
+        calls = []
+        for module in [m for k, m in sys.modules.items() if k.startswith("telegate.")]:
+            kernel = getattr(module, "_apply_matrix", None)
+            if kernel is not None:
+                def counted(*args, _kernel=kernel):
+                    calls.append(1)
+                    return _kernel(*args)
+
+                monkeypatch.setattr(module, "_apply_matrix", counted)
+        spec = ProtocolSpec(PARALLEL, 3, random_unitary(21))
+        counts = []
+        for count in (1, 20):
+            calls.clear()
+            verify_inputs(spec, [random_state(3, 300 + k) for k in range(count)])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_near_unitary_payload_verifies(self, family, n):
+        spec = ProtocolSpec(family, n, parse_gate_spec(NEAR_UNITARY))
+        report = verify_protocol(spec, num_random_inputs=2, seed=22)
+        assert report.passed and report.trials == (1 << n) + 2
 
 
 class TestNegativeInvolutionProperty:
