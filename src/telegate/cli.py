@@ -12,6 +12,7 @@ across platforms.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -22,7 +23,14 @@ import numpy as np
 from .errors import InvolutionRequired, LocalityViolation, TelegateError
 from .gates import Gate, _entry_to_complex, parse_gate_spec
 from .network import build_batch, check_register_size
-from .protocols import Measure, ProtocolFamily, ProtocolSpec, _checked_run, topology_for
+from .protocols import (
+    Measure,
+    ProtocolFamily,
+    ProtocolSpec,
+    _checked_ops,
+    _checked_run,
+    topology_for,
+)
 from .statevector import StateVector, basis_state
 from .verify import (
     VerificationReport,
@@ -39,23 +47,28 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_LOCALITY_VIOLATION = 3
 
+# Compact JSON, as state hashes are taken over it.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
 # Most random inputs ``run --inputs random:<count>`` accepts: every input is
 # built before the first pass, 16 * 2^n bytes each (40 MiB at n = 8).
 MAX_RANDOM_INPUTS = 10_000
 
 
 def _round12(x: float) -> float:
-    r = round(float(x), 12)
-    return 0.0 if r == 0 else r  # fold -0.0 into 0.0
+    return round(float(x), 12) + 0.0  # + 0.0 folds -0.0 into 0.0
 
 
 def state_pairs(state: StateVector) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+    return [[a.real, a.imag] for a in state.amplitudes.tolist()]
 
 
 def state_hash(state: StateVector) -> str:
-    rounded = [[_round12(a.real), _round12(a.imag)] for a in state.amplitudes]
-    payload = json.dumps(rounded, separators=(",", ":"))
+    # _round12 without its float(): tolist() already gives floats
+    rounded = [
+        [round(a.real, 12) + 0.0, round(a.imag, 12) + 0.0] for a in state.amplitudes.tolist()
+    ]
+    payload = _COMPACT.encode(rounded)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
@@ -69,7 +82,7 @@ def _pairs_to_amplitudes(pairs: list) -> np.ndarray:
 
 
 def _matrix_pairs(gate: Gate) -> list[list[list[float]]]:
-    return [[[float(e.real), float(e.imag)] for e in row] for row in gate.matrix]
+    return [[[e.real, e.imag] for e in row] for row in gate.matrix.tolist()]
 
 
 def _gate_from_pairs(label: str, rows: list) -> Gate:
@@ -106,13 +119,13 @@ def _events(ops: tuple, branch: list[int], probabilities: list[float]) -> list[d
         if isinstance(op, Measure):
             bit, p = next(measured)
             outcome[op.qubit] = bit
-            events.append(dict(type="measure", party=op.party, qubit=op.qubit,
-                               basis=op.basis.value, outcome=bit, probability=p))
-            events += [dict(type="message", sender=op.party, recipient=r, bit=bit, tag=op.qubit)
-                       for r in op.recipients]
-        elif not op.tags or sum(outcome[tag] for tag in op.tags) % 2:
-            events.append(dict(type="gate", party=op.party, gate=op.gate.label,
-                               qubits=list(op.qubits)))
+            events.append({"type": "measure", "party": op.party, "qubit": op.qubit,
+                           "basis": op.basis.value, "outcome": bit, "probability": p})
+            events += [{"type": "message", "sender": op.party, "recipient": r, "bit": bit,
+                        "tag": op.qubit} for r in op.recipients]
+        elif not op.tags or sum(map(outcome.__getitem__, op.tags)) % 2:
+            events.append({"type": "gate", "party": op.party, "gate": op.gate.label,
+                           "qubits": list(op.qubits)})
     return events
 
 
@@ -184,14 +197,20 @@ def _parse_inputs(raw: str, n: int) -> tuple[str, int | StateVector]:
     )
 
 
-def _check_output_path(path: str) -> None:
-    """Refuse, before any verification, an output path that is a directory
-    or whose parent directory does not exist."""
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write output: {path} is a directory")
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise ValueError(f"cannot write output: {path}: no directory {parent}")
+def _check_output_paths(*paths: str | None) -> None:
+    """Refuse, before any verification, an output path that is a directory,
+    whose parent directory does not exist, or that another output names too."""
+    seen = set()
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write output: {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"cannot write output: {path}: no directory {parent}")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"cannot write output: {path} is named by two output options")
+        seen.add(real)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -199,13 +218,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         payload = parse_gate_spec(args.payload)
         family = ProtocolFamily(args.family)
         spec = ProtocolSpec(family, args.n, payload)
-        spec.validate()
+        _checked_ops(spec, True)  # validates once; the runs below reuse its op list
         mode, detail = _parse_inputs(args.inputs, args.n)
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        for path in (args.report_out, args.trace_out):
-            if path:
-                _check_output_path(path)
+        _check_output_paths(args.report_out, args.trace_out)
     except InvolutionRequired as exc:
         print(f"error: InvolutionRequired: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -292,7 +309,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if not _is_int(n):
             raise ValueError(f"n must be an integer, got {n!r}")
         spec = ProtocolSpec(family, n, payload)
-        spec.validate()
+        _checked_ops(spec, True)
         input_state = StateVector(n, _pairs_to_amplitudes(recorded["input"]))
         events = recorded["events"]
         if not isinstance(events, list) or not all(isinstance(ev, dict) for ev in events):
@@ -348,24 +365,31 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--trace-out", default=None)
     run.add_argument("--report-out", default=None)
-    run.set_defaults(func=cmd_run)
 
     costs = sub.add_parser("costs", help="measured-vs-formula cost table")
     costs.add_argument("--family", required=True, choices=families)
     costs.add_argument("--n-max", type=int, default=6)
-    costs.set_defaults(func=cmd_costs)
 
     replay = sub.add_parser("replay", help="re-execute a recorded trace and compare")
     replay.add_argument("trace", help="path to a trace JSON file")
-    replay.set_defaults(func=cmd_replay)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in this process reuses, built on the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse ``argv`` and run its subcommand.  The subcommand is looked up by
+    name on each call, so a ``cmd_*`` rebound after the first call is the one
+    that runs."""
+    args = _parser().parse_args(argv)
+    command = {"run": cmd_run, "costs": cmd_costs, "replay": cmd_replay}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except LocalityViolation as exc:
         print(f"internal error: LocalityViolation: {exc}", file=sys.stderr)
         return EXIT_LOCALITY_VIOLATION

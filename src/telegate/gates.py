@@ -153,10 +153,14 @@ def random_involution(seed: SeedLike = None) -> Gate:
 def _entry_to_complex(entry) -> complex:
     """A JSON amplitude or matrix entry: a real number or an [re, im] pair of
     them; a bool, which Python counts as an int, is not a number here."""
-    parts = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0)
-    if not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts):
+    re, im = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0)
+    if not (_is_number(re) and _is_number(im)):
         raise ValueError(f"entry {entry!r} is not a number or an [re, im] pair of numbers")
-    return complex(parts[0], parts[1])
+    return complex(re, im)
+
+
+def _is_number(part) -> bool:
+    return isinstance(part, (int, float)) and not isinstance(part, bool)
 
 
 def parse_gate_spec(text: str) -> Gate:

@@ -107,8 +107,9 @@ class CostLedger:
         return CostLedger(self.ebits, self.cbits)
 
 
-@dataclass(frozen=True, slots=True)
-class ClassicalMessage:
+class ClassicalMessage(NamedTuple):
+    """One delivered bit; immutable, and cheap to build once per delivery."""
+
     sender: int
     recipient: int
     bit: int | Unforced
@@ -158,46 +159,57 @@ class Unforced:
 
 def _is_bit(value) -> bool:
     """True for an integer 0 or 1; a bool, a float or an :class:`Unforced` is not one."""
+    if type(value) is int:  # the common case, decided first
+        return value in (0, 1)
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in (0, 1)
 
 
 def _row_norms2(amps: np.ndarray) -> np.ndarray:
-    flat = np.ascontiguousarray(amps).view(np.float64)
+    flat = amps.view(np.float64)  # a register is C-contiguous
     return np.einsum("ij,ij->i", flat, flat)
+
+
+def _spread(values: np.ndarray, lead: int) -> np.ndarray:
+    """``values``, one per row, repeated for both outcomes of a measurement
+    whose outcome axis splits the row index into ``lead`` blocks."""
+    return np.repeat(values.reshape(lead, 1, -1), 2, axis=1).ravel()
 
 
 def _measured(
     amps: np.ndarray, q: int, basis: MeasurementBasis, outcomes: Sequence[int], lead: int
 ) -> np.ndarray:
-    """A new ``(lead, len(outcomes), rows // lead, ...)`` array: each row
-    projected onto each of ``outcomes`` of qubit ``q`` in ``basis``,
+    """A C-contiguous ``(rows * len(outcomes), cols // 2)`` register: each
+    row projected onto each of ``outcomes`` of qubit ``q`` in ``basis``,
     unnormalized, ``q`` removed.  The outcome axis splits the row index into
     ``lead`` blocks."""
-    rows = amps.shape[0]
+    rows, cols = amps.shape
     cube = amps.reshape(lead, rows // lead, 1 << q, 2, -1)
     zero, one = cube[..., 0, :], cube[..., 1, :]
-    out = np.empty((lead, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
-    for k, outcome in enumerate(outcomes):
+    if len(outcomes) == 1:  # a forced outcome: its half, with no outcome axis to fill
         if basis is MeasurementBasis.COMPUTATIONAL:
-            out[:, k] = cube[..., outcome, :]
-        elif outcome == 0:
-            np.add(zero, one, out=out[:, k])
-        else:
-            np.subtract(zero, one, out=out[:, k])
+            return cube[..., outcomes[0], :].copy().reshape(-1, cols >> 1)
+        out = np.add(zero, one) if outcomes[0] == 0 else np.subtract(zero, one)
+    else:
+        out = np.empty((lead, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
+        for k, outcome in enumerate(outcomes):
+            if basis is MeasurementBasis.COMPUTATIONAL:
+                out[:, k] = cube[..., outcome, :]
+            elif outcome == 0:
+                np.add(zero, one, out=out[:, k])
+            else:
+                np.subtract(zero, one, out=out[:, k])
     if basis is MeasurementBasis.HADAMARD:
         out *= _SQRT_HALF
-    return out
+    return out.reshape(-1, cols >> 1)
 
 
 class _Block(NamedTuple):
-    """The one-qubit block b of a gate I ⊕ b, and how it acts."""
+    """The one-qubit block b of a gate I ⊕ b, its rows as Python numbers,
+    and how it acts."""
 
-    b: np.ndarray
+    b: tuple[tuple[complex, complex], tuple[complex, complex]]
     swap: bool  # b is X
     diagonal: bool
-
-
-_X_BLOCK = np.array([[0, 1], [1, 0]])
 
 
 @functools.lru_cache(maxsize=32)
@@ -209,35 +221,43 @@ def _block(gate: Gate) -> _Block | None:
     """
     m = gate.matrix
     rest = m.shape[0] - 2
-    if not (
-        np.array_equal(m[:rest, :rest], np.eye(rest))
-        and not m[:rest, rest:].any()
-        and not m[rest:, :rest].any()
-    ):
+    embedded = np.eye(m.shape[0], dtype=m.dtype)
+    embedded[rest:, rest:] = m[rest:, rest:]
+    if not np.array_equal(m, embedded, equal_nan=True):
         return None
-    b = m[rest:, rest:]
-    return _Block(b, bool(np.array_equal(b, _X_BLOCK)), not (b[0, 1] or b[1, 0]))
+    (b00, b01), (b10, b11) = rows = tuple(map(tuple, m[rest:, rest:].tolist()))
+    return _Block(rows, rows == ((0, 1), (1, 0)), not (b01 or b10))
 
 
-def _act(v0: np.ndarray, v1: np.ndarray, block: _Block) -> None:
-    """(v0, v1) <- b (v0, v1) in place."""
-    b = block.b
+def _act(cube: np.ndarray, index: list, axis: int, block: _Block) -> None:
+    """Apply b in place to ``cube[index]`` along ``axis``, the target qubit's
+    axis, whose entry of ``index`` this sets."""
     if block.swap:
-        held = v0.copy()
-        v0[...] = v1
-        v1[...] = held
+        # one assignment: numpy reads an overlapping source before writing
+        index[axis] = slice(None)
+        pair = tuple(index)
+        index[axis] = slice(None, None, -1)
+        cube[pair] = cube[tuple(index)]
         return
+    index[axis] = 0
+    v0 = cube[tuple(index)]
+    index[axis] = 1
+    v1 = cube[tuple(index)]
+    (b00, b01), (b10, b11) = block.b
     if block.diagonal:
-        if b[0, 0] != 1:
-            v0 *= b[0, 0]
-        if b[1, 1] != 1:
-            v1 *= b[1, 1]
+        if b00 != 1:
+            v0 *= b00
+        if b11 != 1:
+            v1 *= b11
         return
-    held = v0.copy()
-    v0 *= b[0, 0]
-    v0 += b[0, 1] * v1
-    v1 *= b[1, 1]
-    v1 += b[1, 0] * held
+    # the arithmetic runs on contiguous copies, and each view is written once
+    x0, x1 = v0.copy(), v1.copy()
+    y0 = x0 * b00
+    y0 += b01 * x1
+    x1 *= b11
+    x1 += b10 * x0
+    v0[...] = y0
+    v1[...] = x1
 
 
 def _apply(
@@ -258,7 +278,8 @@ def _apply(
     assignment of the open bits that fires it, on the rows with those
     branch bits fixed; without ``bits``, once on every row.  A gate I ⊕ b
     acts in place on views; any other gate is applied densely to those rows
-    and written back.  Returns the register.
+    and written back.  ``amps`` is C-contiguous, as every register is, so
+    that the reshape below is a view.  Returns the register.
     """
     flip = int(bits is None)
     unforced: set[int] = set()
@@ -267,16 +288,19 @@ def _apply(
             unforced ^= {split.index(bit.index)}  # a bit named twice cancels
         else:
             flip ^= bit
+    if unforced:
+        fired = [v for v in itertools.product((0, 1), repeat=len(unforced)) if (flip + sum(v)) % 2]
+    else:
+        fired = [()] if flip else []
+    if not fired:
+        return amps
     block = _block(gate)
-    amps = np.ascontiguousarray(amps)  # so that the reshape below is a view
     cube = amps.reshape((amps.shape[0] >> len(split),) + (2,) * (len(split) + num_qubits))
     qubit0 = 1 + len(split)  # the axis of qubit 0
     index: list = [slice(None)] * cube.ndim
     for control in targets[:-1]:
         index[qubit0 + control] = 1
-    for values in itertools.product((0, 1), repeat=len(unforced)):
-        if not (flip + sum(values)) % 2:
-            continue
+    for values in fired:
         for j, value in zip(unforced, values):
             index[1 + j] = value
         if block is None:
@@ -284,10 +308,7 @@ def _apply(
             flat = rows.reshape(rows.shape[: rows.ndim - num_qubits] + (-1,))
             rows[...] = _apply_matrix(flat, num_qubits, gate.matrix, targets).reshape(rows.shape)
             continue
-        index[qubit0 + targets[-1]] = 0
-        v0 = cube[tuple(index)]
-        index[qubit0 + targets[-1]] = 1
-        _act(v0, cube[tuple(index)], block)
+        _act(cube, index, qubit0 + targets[-1], block)
     return amps
 
 
@@ -300,7 +321,8 @@ class Network:
     keeps both, so after k unforced measurements row ``input * 2^k + b``
     holds branch ``b`` of that input (outcome bits in the written order of
     their :class:`Unforced` indices, first most significant).  Rows are never
-    renormalized: a row's squared norm is its branch probability.
+    renormalized: a row's squared norm is its branch probability.  The
+    array is C-contiguous whatever has run, so gates reshape it into views.
     Ownership and inbox checks run once per operation whatever the rows and
     bits; ownership is read from the label map, so it follows the register
     as measured qubits leave it.
@@ -381,8 +403,12 @@ class Network:
             raise KeyError(f"no live qubit labelled {label!r}") from None
 
     def _tensor_in(self, edge: BellEdge) -> None:
-        rows = self._amps.shape[0]
-        self._amps = (self._amps[:, :, None] * _BELL).reshape(rows, -1)
+        rows, cols = self._amps.shape
+        amps = np.zeros((rows, cols, 4), dtype=np.complex128)
+        # only |00> and |11> of the pair are nonzero: two long strided writes
+        np.multiply(self._amps, _BELL[0], out=amps[:, :, 0])
+        np.multiply(self._amps, _BELL[3], out=amps[:, :, 3])
+        self._amps = amps.reshape(rows, -1)
         self._labels += [edge.label_a, edge.label_b]
         del self._pending[edge.label_a], self._pending[edge.label_b]
 
@@ -411,12 +437,16 @@ class Network:
         """Apply a gate to qubits all held by ``party_id``."""
         self._gate(party_id, gate, targets, None)
 
-    def apply_if(self, party_id: int, gate: Gate, targets: list[int], tags: list[str]) -> None:
+    def apply_if(
+        self, party_id: int, gate: Gate, targets: list[int], tags: Sequence[str]
+    ) -> None:
         """Apply a gate to the rows where the XOR of the bits ``party_id`` holds
         under ``tags`` is 1; ownership and targets are checked whatever the bits."""
         self._gate(party_id, gate, targets, tags)
 
-    def _gate(self, party_id: int, gate: Gate, targets: list[int], tags: list[str] | None) -> None:
+    def _gate(
+        self, party_id: int, gate: Gate, targets: list[int], tags: Sequence[str] | None
+    ) -> None:
         targets = list(targets)
         self._check_gate(party_id, gate, targets)
         bits = None if tags is None else [self.read_cbit(party_id, tag) for tag in tags]
@@ -445,20 +475,18 @@ class Network:
         if not self._holds(party_id, qubit):
             raise LocalityViolation(f"party {party_id} does not hold qubit {qubit}")
         label = self._labels[qubit]
-        outcomes = (0, 1) if unforced else (outcome,)
-        # an unforced bit goes in at its written index's rank, a forced one last
-        later = len(self._split) - bisect.bisect(self._split, outcome.index) if unforced else 0
-        lead = self._amps.shape[0] >> later
-        amps = _measured(self._amps, qubit, basis, outcomes, lead)
-        amps = amps.reshape(-1, self._amps.shape[1] >> 1)
-
-        def spread(values: np.ndarray) -> np.ndarray:
-            return np.repeat(values.reshape(lead, 1, -1), len(outcomes), axis=1).ravel()
-
+        rows = self._amps.shape[0]
+        parent, impossible = self._norms2, self._impossible
+        if unforced:
+            # the bit goes in at its written index's rank among the split ones
+            lead = rows >> (len(self._split) - bisect.bisect(self._split, outcome.index))
+            amps = _measured(self._amps, qubit, basis, (0, 1), lead)
+            parent, impossible = _spread(parent, lead), _spread(impossible, lead)
+        else:
+            amps = _measured(self._amps, qubit, basis, (outcome,), rows)
         norms2 = _row_norms2(amps)
-        parent = spread(self._norms2)
-        impossible = spread(self._impossible) | (norms2 < IMPOSSIBLE_CUTOFF * parent)
-        if len(outcomes) == 1 and impossible.all():
+        impossible = impossible | (norms2 < IMPOSSIBLE_CUTOFF * parent)
+        if not unforced and impossible.all():
             raise ImpossibleBranchError(
                 f"outcome {outcome} on qubit {label} is impossible in every row"
             )
@@ -522,17 +550,25 @@ def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Ne
     if not inputs:
         raise ValueError("need at least one input state")
 
+    topology, data, owner = _layout(kind, n)
+    return Network(
+        n,
+        np.array([state.amplitudes for state in inputs]),
+        list(data),
+        dict(owner),
+        {pid: Party(pid) for pid in range(1, n + 1)},
+        topology,
+        CostLedger(ebits=n - 1),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(kind: TopologyKind, n: int) -> tuple[Topology, tuple[str, ...], dict[str, int]]:
+    """The topology of an n-party network, its data qubit labels in party
+    order and the owner of every label; a network takes copies of the last two."""
     edges = _bell_edges(kind, n)
     owner = {f"d{i}": i for i in range(1, n + 1)}
     for edge in edges:
         owner[edge.label_a] = edge.party_a
         owner[edge.label_b] = edge.party_b
-    return Network(
-        n,
-        np.stack([state.amplitudes for state in inputs]),
-        [f"d{i}" for i in range(1, n + 1)],
-        owner,
-        {pid: Party(pid) for pid in range(1, n + 1)},
-        Topology(kind, n, edges),
-        CostLedger(ebits=n - 1),
-    )
+    return Topology(kind, n, edges), tuple(f"d{i}" for i in range(1, n + 1)), owner

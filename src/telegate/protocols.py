@@ -302,9 +302,9 @@ def _interpret(ops: Sequence[Op], net: Network, branch: Sequence[int | Unforced]
             for recipient in op.recipients:
                 net.send_cbit(op.party, recipient, bit, op.qubit)
             continue
-        targets = [net.qubit_index(q) for q in op.qubits]
+        targets = list(map(net.qubit_index, op.qubits))
         if op.tags:
-            net.apply_if(op.party, op.gate, targets, list(op.tags))
+            net.apply_if(op.party, op.gate, targets, op.tags)
         else:
             net.local_apply(op.party, op.gate, targets)
     return probabilities

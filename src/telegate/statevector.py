@@ -90,7 +90,7 @@ def _check_targets(g: Gate, targets: Sequence[int], num_qubits: int) -> None:
         raise ValueError(f"gate {g.label!r} has arity {g.arity}, got {len(targets)} targets")
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target in {list(targets)!r}")
-    if any(t < 0 or t >= num_qubits for t in targets):
+    if min(targets) < 0 or max(targets) >= num_qubits:  # arity >= 1, so targets is not empty
         raise ValueError(f"target out of range in {list(targets)!r}")
 
 

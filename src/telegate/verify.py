@@ -136,7 +136,9 @@ def _force_all(
 
     The batch starts from the data qubits and takes each Bell pair in at its
     first use, so ops before the last pair act on smaller registers.  The
-    oracle acts once on all inputs stacked as rows."""
+    oracle acts once on all inputs stacked as rows.  A fidelity is
+    |<target|row>|^2 over both squared norms, so a payload within the
+    unitarity tolerance scales neither side's verdict."""
     net = build_batch(topology_for(spec.family), spec.n, inputs)
     run_protocol(spec, net, None, enforce_involution=enforce_involution)
     shape = (len(inputs), 1 << spec.num_measurements)
@@ -145,8 +147,9 @@ def _force_all(
     final = net.register.reshape(shape + (-1,))
     targets = _oracle_rows(spec, np.stack([state.amplitudes for state in inputs]))
     overlaps = np.abs(np.einsum("mi,mbi->mb", targets.conj(), final)) ** 2
+    target_norms2 = np.einsum("mi,mi->m", targets.conj(), targets).real
     with np.errstate(divide="ignore", invalid="ignore"):
-        fidelities = np.minimum(overlaps / probabilities, 1.0)
+        fidelities = np.minimum(overlaps / (probabilities * target_norms2[:, None]), 1.0)
     fidelities[impossible] = 0.0
     return probabilities, fidelities, impossible, net.ledger
 

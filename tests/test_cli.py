@@ -1,6 +1,11 @@
 """End-to-end CLI tests: exit codes, report/trace schemas, replay."""
 
+import argparse
+import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +20,7 @@ from telegate import (
     random_unitary,
     verify_protocol,
 )
+from telegate import cli, gates
 from telegate.cli import MAX_RANDOM_INPUTS, main, report_to_dict
 from telegate.verify import BranchTable, VerificationReport
 
@@ -125,6 +131,20 @@ def test_near_unitary_payload_passes_and_replays(tmp_path, capsys):
     assert code == 0
     assert captured.out.strip().splitlines()[-1] == "PASS"
     assert "Traceback" not in captured.err
+    assert main(["replay", str(trace_path)]) == 0
+
+
+def test_shrinking_near_unitary_payload_passes_and_replays(tmp_path, capsys):
+    # the same residual with the norm shrinking gets the same verdict
+    trace_path = tmp_path / "trace.json"
+    code = main([
+        "run", "--family", "parallel-cu", "--n", "3", "--inputs", "basis-sweep",
+        "--payload", "matrix:[[0.99999999996,0],[0,0.99999999996]]",
+        "--trace-out", str(trace_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip().splitlines()[-1] == "PASS"
     assert main(["replay", str(trace_path)]) == 0
 
 
@@ -408,3 +428,120 @@ def test_golden_trace_replays(family, n, capsys):
     assert 0 in trace["branch"] and 1 in trace["branch"]
     assert main(["replay", str(path)]) == 0
     assert "replay OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("second", ["same.json", "./sub/../same.json"])
+def test_one_output_path_named_twice_exits_2_before_verifying(
+    monkeypatch, tmp_path, capsys, second
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr("telegate.cli.verify_protocol", _must_not_run)
+    monkeypatch.setattr("telegate.cli.record_trace", _must_not_run)
+    code = main([
+        "run", "--family", "parallel-cu", "--report-out", "same.json", "--trace-out", second,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+# -- one parser per process, one validation per invocation ---------------------
+
+
+def test_a_later_run_takes_the_defaults_and_leaves_an_earlier_report(monkeypatch, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main([
+        "run", "--family", "parallel-cu", "--n", "2", "--inputs", "random:1", "--seed", "5",
+        "--report-out", str(report_path),
+    ]) == 0
+    written = report_path.read_bytes(), report_path.stat().st_mtime_ns
+    seen = []
+
+    def recording(spec, num_random_inputs, seed):
+        seen.append((spec.n, num_random_inputs, seed))
+        return verify_protocol(spec, num_random_inputs, seed)
+
+    monkeypatch.setattr("telegate.cli.verify_protocol", recording)
+    capsys.readouterr()
+    assert main(["run", "--family", "parallel-cu"]) == 0
+    assert seen == [(3, 20, 0)]
+    assert "n=3 payload=H trials=28" in capsys.readouterr().out
+    assert (report_path.read_bytes(), report_path.stat().st_mtime_ns) == written
+
+
+def test_a_subcommand_rebound_after_the_first_call_is_the_one_that_runs(monkeypatch, tmp_path):
+    trace_path = tmp_path / "trace.json"
+    assert main([
+        "run", "--family", "series-ch", "--n", "2", "--inputs", "basis-sweep",
+        "--trace-out", str(trace_path),
+    ]) == 0
+    calls = []
+
+    def fake(args):
+        calls.append(args.trace)
+        return 7
+
+    monkeypatch.setattr("telegate.cli.cmd_replay", fake)
+    assert main(["replay", str(trace_path)]) == 7
+    assert calls == [str(trace_path)]
+
+
+def test_the_parser_is_built_once_for_many_calls(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # an empty cache for this test, as in a fresh process
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    for _ in range(5):
+        assert main(["costs", "--family", "parallel-cu", "--n-max", "2"]) == 0
+    # one top-level parser and, built with it, its three subcommand parsers
+    assert built.count("telegate") == 1 and len(built) == 4
+
+
+def _count_validations(monkeypatch) -> list:
+    """Wrap gates.validate under every name a loaded telegate module binds it to."""
+    calls = []
+    original = gates.validate
+
+    def counted(gate):
+        calls.append(gate.label)
+        return original(gate)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("telegate")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_run_and_replay_each_validate_the_payload_once(monkeypatch, tmp_path):
+    calls = _count_validations(monkeypatch)
+    trace_path, report_path = tmp_path / "trace.json", tmp_path / "report.json"
+    assert main([
+        "run", "--family", "series-ncu", "--n", "3", "--payload", "randU:3", "--inputs", "random:2",
+        "--trace-out", str(trace_path), "--report-out", str(report_path),
+    ]) == 0
+    assert calls == ["randU:3"]
+    calls.clear()
+    assert main(["replay", str(trace_path)]) == 0
+    assert calls == ["randU:3"]
+
+
+def test_python_dash_m_runs_the_command_in_a_fresh_process():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "telegate", "costs", "--family", "series-ch", "--n-max", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.strip().splitlines()
+    assert len(rows) == 3 and all(row.endswith(", OK") for row in rows)

@@ -147,6 +147,9 @@ class TestVerifyProtocol:
 # A payload whose unitarity residual, 8e-11, is within the 1e-10 tolerance:
 # the norm it adds per application must not stop a verification.
 NEAR_UNITARY = "matrix:[[1.00000000004,0],[0,1.00000000004]]"
+# The same residual with the norm shrinking: a fidelity over both squared
+# norms gives it the same verdict.
+SHRINKING_NEAR_UNITARY = "matrix:[[0.99999999996,0],[0,0.99999999996]]"
 
 
 class TestStackedOracle:
@@ -184,6 +187,14 @@ class TestStackedOracle:
         spec = ProtocolSpec(family, n, parse_gate_spec(NEAR_UNITARY))
         report = verify_protocol(spec, num_random_inputs=2, seed=22)
         assert report.passed and report.trials == (1 << n) + 2
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_shrinking_near_unitary_payload_verifies(self, family, n):
+        spec = ProtocolSpec(family, n, parse_gate_spec(SHRINKING_NEAR_UNITARY))
+        report = verify_protocol(spec, num_random_inputs=2, seed=22)
+        assert report.passed and report.trials == (1 << n) + 2
+        assert report.min_fidelity >= 1 - 1e-12
 
 
 class TestNegativeInvolutionProperty:
