@@ -107,9 +107,8 @@ class CostLedger:
         return CostLedger(self.ebits, self.cbits)
 
 
-class ClassicalMessage(NamedTuple):
-    """One delivered bit; immutable, and cheap to build once per delivery."""
-
+@dataclass(frozen=True, slots=True)
+class ClassicalMessage:
     sender: int
     recipient: int
     bit: int | Unforced
@@ -185,19 +184,14 @@ def _measured(
     rows, cols = amps.shape
     cube = amps.reshape(lead, rows // lead, 1 << q, 2, -1)
     zero, one = cube[..., 0, :], cube[..., 1, :]
-    if len(outcomes) == 1:  # a forced outcome: its half, with no outcome axis to fill
+    out = np.empty((lead, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
+    for k, outcome in enumerate(outcomes):
         if basis is MeasurementBasis.COMPUTATIONAL:
-            return cube[..., outcomes[0], :].copy().reshape(-1, cols >> 1)
-        out = np.add(zero, one) if outcomes[0] == 0 else np.subtract(zero, one)
-    else:
-        out = np.empty((lead, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
-        for k, outcome in enumerate(outcomes):
-            if basis is MeasurementBasis.COMPUTATIONAL:
-                out[:, k] = cube[..., outcome, :]
-            elif outcome == 0:
-                np.add(zero, one, out=out[:, k])
-            else:
-                np.subtract(zero, one, out=out[:, k])
+            out[:, k] = cube[..., outcome, :]
+        elif outcome == 0:
+            np.add(zero, one, out=out[:, k])
+        else:
+            np.subtract(zero, one, out=out[:, k])
     if basis is MeasurementBasis.HADAMARD:
         out *= _SQRT_HALF
     return out.reshape(-1, cols >> 1)
@@ -339,7 +333,7 @@ class Network:
         ledger: CostLedger,
     ):
         self.n = n
-        self._amps = register
+        self._amps = np.ascontiguousarray(register)
         self._labels = labels
         self._owner = owner
         self.parties = parties
@@ -403,12 +397,8 @@ class Network:
             raise KeyError(f"no live qubit labelled {label!r}") from None
 
     def _tensor_in(self, edge: BellEdge) -> None:
-        rows, cols = self._amps.shape
-        amps = np.zeros((rows, cols, 4), dtype=np.complex128)
-        # only |00> and |11> of the pair are nonzero: two long strided writes
-        np.multiply(self._amps, _BELL[0], out=amps[:, :, 0])
-        np.multiply(self._amps, _BELL[3], out=amps[:, :, 3])
-        self._amps = amps.reshape(rows, -1)
+        rows = self._amps.shape[0]
+        self._amps = (self._amps[:, :, None] * _BELL).reshape(rows, -1)
         self._labels += [edge.label_a, edge.label_b]
         del self._pending[edge.label_a], self._pending[edge.label_b]
 
@@ -550,25 +540,17 @@ def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Ne
     if not inputs:
         raise ValueError("need at least one input state")
 
-    topology, data, owner = _layout(kind, n)
-    return Network(
-        n,
-        np.array([state.amplitudes for state in inputs]),
-        list(data),
-        dict(owner),
-        {pid: Party(pid) for pid in range(1, n + 1)},
-        topology,
-        CostLedger(ebits=n - 1),
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(kind: TopologyKind, n: int) -> tuple[Topology, tuple[str, ...], dict[str, int]]:
-    """The topology of an n-party network, its data qubit labels in party
-    order and the owner of every label; a network takes copies of the last two."""
     edges = _bell_edges(kind, n)
     owner = {f"d{i}": i for i in range(1, n + 1)}
     for edge in edges:
         owner[edge.label_a] = edge.party_a
         owner[edge.label_b] = edge.party_b
-    return Topology(kind, n, edges), tuple(f"d{i}" for i in range(1, n + 1)), owner
+    return Network(
+        n,
+        np.stack([state.amplitudes for state in inputs]),
+        [f"d{i}" for i in range(1, n + 1)],
+        owner,
+        {pid: Party(pid) for pid in range(1, n + 1)},
+        Topology(kind, n, edges),
+        CostLedger(ebits=n - 1),
+    )

@@ -33,6 +33,9 @@ from .statevector import StateVector, basis_state, random_state
 
 FIDELITY_ATOL = 1e-10
 PROBABILITY_ATOL = 1e-9
+# Far above the rounding of an exact payload's target norms (under 1e-14 up
+# to n = 7) and far below FIDELITY_ATOL.
+TARGET_NORM_ROUNDING = 1e-12
 
 # Amplitudes one pass of verify_inputs works on: inputs are stacked until
 # their registers fill it (4 MiB), and an input larger than that runs alone.
@@ -138,7 +141,9 @@ def _force_all(
     first use, so ops before the last pair act on smaller registers.  The
     oracle acts once on all inputs stacked as rows.  A fidelity is
     |<target|row>|^2 over both squared norms, so a payload within the
-    unitarity tolerance scales neither side's verdict."""
+    unitarity tolerance scales neither side's verdict.  A target norm within
+    rounding of 1 is taken as 1, so an exact payload's fidelities are the
+    overlaps over the row norms alone."""
     net = build_batch(topology_for(spec.family), spec.n, inputs)
     run_protocol(spec, net, None, enforce_involution=enforce_involution)
     shape = (len(inputs), 1 << spec.num_measurements)
@@ -148,6 +153,7 @@ def _force_all(
     targets = _oracle_rows(spec, np.stack([state.amplitudes for state in inputs]))
     overlaps = np.abs(np.einsum("mi,mbi->mb", targets.conj(), final)) ** 2
     target_norms2 = np.einsum("mi,mi->m", targets.conj(), targets).real
+    target_norms2[np.abs(target_norms2 - 1.0) <= TARGET_NORM_ROUNDING] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         fidelities = np.minimum(overlaps / (probabilities * target_norms2[:, None]), 1.0)
     fidelities[impossible] = 0.0

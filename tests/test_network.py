@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from telegate import (
+    CostLedger,
     Gate,
     ImpossibleBranchError,
     LocalityViolation,
     MeasurementBasis,
     MissingMessage,
+    Network,
     StateVector,
     TopologyKind,
     basis_state,
@@ -21,7 +23,7 @@ from telegate import (
     random_state,
     random_unitary,
 )
-from telegate.network import Unforced, _apply, build_batch
+from telegate.network import BellEdge, Party, Topology, Unforced, _apply, build_batch
 from telegate.statevector import _apply_matrix
 from conftest import (
     computational_projector_probability,
@@ -400,6 +402,29 @@ class TestForcedRows:
             batch.local_measure(1, batch.qubit_index("d1"), COMP, 1)
         np.testing.assert_array_equal(batch.register, before)
         assert batch.label_at(0) == "d1" and not batch.impossible.any()
+
+    @pytest.mark.parametrize("outcome", [0, Unforced(0)], ids=["forced", "unforced"])
+    def test_a_network_built_from_a_fortran_ordered_register_measures(self, outcome, rng):
+        inputs = [random_state(2, rng) for _ in range(3)]
+        register = np.asfortranarray(np.stack([psi.amplitudes for psi in inputs]))
+        assert not register.flags.c_contiguous
+        edges = (BellEdge(1, "f1", 2, "r2"),)
+        net = Network(
+            2,
+            register,
+            ["d1", "d2"],
+            {"d1": 1, "d2": 2, "f1": 1, "r2": 2},
+            {1: Party(1), 2: Party(2)},
+            Topology(TopologyKind.SERIES, 2, edges),
+            CostLedger(ebits=1),
+        )
+        batch = build_batch(TopologyKind.SERIES, 2, inputs)
+        for network in (net, batch):
+            np.testing.assert_allclose(network.probabilities, 1.0, rtol=0, atol=1e-12)
+            network.local_apply(1, CX, [network.qubit_index("d1"), network.qubit_index("f1")])
+            network.local_measure(1, network.qubit_index("d1"), HAD, outcome)
+        np.testing.assert_array_equal(net.register, batch.register)
+        np.testing.assert_array_equal(net.probabilities, batch.probabilities)
 
     def test_the_state_is_the_normalized_row(self):
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
