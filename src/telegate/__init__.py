@@ -13,7 +13,6 @@ from .gates import (
     controlled,
     hadamard,
     identity,
-    involution_certificate,
     parse_gate_spec,
     pauli_x,
     pauli_z,
@@ -65,7 +64,6 @@ __all__ = [
     "controlled",
     "hadamard",
     "identity",
-    "involution_certificate",
     "parse_gate_spec",
     "pauli_x",
     "pauli_z",

@@ -20,14 +20,13 @@ import sys
 
 import numpy as np
 
-from .errors import InvolutionRequired, LocalityViolation, TelegateError
+from .errors import LocalityViolation, TelegateError
 from .gates import Gate, _entry_to_complex, parse_gate_spec
 from .network import build_batch, check_register_size
 from .protocols import (
     Measure,
     ProtocolFamily,
     ProtocolSpec,
-    _checked_ops,
     _checked_run,
     topology_for,
 )
@@ -218,14 +217,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         payload = parse_gate_spec(args.payload)
         family = ProtocolFamily(args.family)
         spec = ProtocolSpec(family, args.n, payload)
-        _checked_ops(spec, True)  # validates once; the runs below reuse its op list
         mode, detail = _parse_inputs(args.inputs, args.n)
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         _check_output_paths(args.report_out, args.trace_out)
-    except InvolutionRequired as exc:
-        print(f"error: InvolutionRequired: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except (ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -245,9 +240,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             trace = record_trace(spec, trace_input, [0] * spec.num_measurements)
             with open(args.trace_out, "w") as fh:
                 fh.write(json.dumps(trace))
-    except LocalityViolation as exc:
-        print(f"internal error: LocalityViolation: {exc}", file=sys.stderr)
-        return EXIT_LOCALITY_VIOLATION
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -309,7 +301,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if not _is_int(n):
             raise ValueError(f"n must be an integer, got {n!r}")
         spec = ProtocolSpec(family, n, payload)
-        _checked_ops(spec, True)
         input_state = StateVector(n, _pairs_to_amplitudes(recorded["input"]))
         events = recorded["events"]
         if not isinstance(events, list) or not all(isinstance(ev, dict) for ev in events):
@@ -355,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--payload",
         default="H",
-        help="payload gate: X, Z, H, randU:<seed>, randH:<seed>, matrix:[[..],[..]]",
+        help="payload gate: I, X, Z, H, randU:<seed>, randH:<seed>, matrix:[[..],[..]]",
     )
     run.add_argument(
         "--inputs",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,8 @@ class Gate:
     arity: int
     matrix: np.ndarray
     label: str
+    # the I ⊕ b classification, kept by _block: None until made, then the block or False
+    _io_block: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -52,18 +54,6 @@ class Gate:
 class GateFlags(NamedTuple):
     unitary: bool
     involution: bool
-
-
-@dataclass(frozen=True, slots=True)
-class InvolutionCertificate:
-    """Witness that a gate squares to the identity."""
-
-    gate: Gate
-    residual: float
-
-    @property
-    def certified(self) -> bool:
-        return self.residual < TOLERANCE
 
 
 def identity() -> Gate:
@@ -98,6 +88,34 @@ def controlled(u: Gate, num_controls: int = 1) -> Gate:
     return Gate(num_controls + 1, mat, "C" * num_controls + u.label)
 
 
+class _Block(NamedTuple):
+    """The one-qubit block b of a gate I ⊕ b, its rows as Python numbers,
+    and how it acts."""
+
+    b: tuple[tuple[complex, complex], tuple[complex, complex]]
+    swap: bool  # b is X
+    diagonal: bool
+
+
+def _classify(m: np.ndarray) -> _Block | None:
+    """The block of ``m`` if it is I ⊕ b (controls leading), else ``None``."""
+    rest = m.shape[0] - 2
+    embedded = np.eye(m.shape[0], dtype=m.dtype)
+    embedded[rest:, rest:] = m[rest:, rest:]
+    if not np.array_equal(m, embedded, equal_nan=True):
+        return None
+    (b00, b01), (b10, b11) = rows = tuple(map(tuple, m[rest:, rest:].tolist()))
+    return _Block(rows, rows == ((0, 1), (1, 0)), not (b01 or b10))
+
+
+def _block(g: Gate) -> _Block | None:
+    """:func:`_classify` of ``g``'s matrix, made on the first call and kept on
+    ``g``; the matrix is read-only, so the answer cannot go stale."""
+    if g._io_block is None:
+        object.__setattr__(g, "_io_block", _classify(g.matrix) or False)
+    return g._io_block or None
+
+
 def unitarity_residual(matrix: np.ndarray) -> float:
     dim = matrix.shape[0]
     return float(np.abs(matrix.conj().T @ matrix - np.eye(dim)).max())
@@ -115,10 +133,6 @@ def validate(g: Gate) -> GateFlags:
         unitary=unitarity_residual(g.matrix) < TOLERANCE,
         involution=involution_residual(g.matrix) < TOLERANCE,
     )
-
-
-def involution_certificate(g: Gate) -> InvolutionCertificate:
-    return InvolutionCertificate(g, involution_residual(g.matrix))
 
 
 def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -166,7 +180,7 @@ def _is_number(part) -> bool:
 def parse_gate_spec(text: str) -> Gate:
     """Build a payload gate from its CLI string form.
 
-    Accepted forms: ``X``, ``Z``, ``H``, ``randU:<seed>``, ``randH:<seed>``,
+    Accepted forms: ``I``, ``X``, ``Z``, ``H``, ``randU:<seed>``, ``randH:<seed>``,
     and ``matrix:[[..],[..]]`` with entries given as numbers or [re, im] pairs.
     """
     text = text.strip()

@@ -42,17 +42,16 @@ amplitudes, so early operations act on smaller arrays.  :attr:`Network.state`,
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ImpossibleBranchError, LocalityViolation, MissingMessage
-from .gates import Gate
+from .gates import Gate, _Block, _block
 from .statevector import (
     IMPOSSIBLE_CUTOFF,
     MeasurementBasis,
@@ -195,32 +194,6 @@ def _measured(
     if basis is MeasurementBasis.HADAMARD:
         out *= _SQRT_HALF
     return out.reshape(-1, cols >> 1)
-
-
-class _Block(NamedTuple):
-    """The one-qubit block b of a gate I ⊕ b, its rows as Python numbers,
-    and how it acts."""
-
-    b: tuple[tuple[complex, complex], tuple[complex, complex]]
-    swap: bool  # b is X
-    diagonal: bool
-
-
-@functools.lru_cache(maxsize=32)
-def _block(gate: Gate) -> _Block | None:
-    """The block of ``gate`` if it is I ⊕ b (controls leading), else ``None``.
-
-    Gates compare by identity and their matrices are read-only, so each
-    gate is classified once.
-    """
-    m = gate.matrix
-    rest = m.shape[0] - 2
-    embedded = np.eye(m.shape[0], dtype=m.dtype)
-    embedded[rest:, rest:] = m[rest:, rest:]
-    if not np.array_equal(m, embedded, equal_nan=True):
-        return None
-    (b00, b01), (b10, b11) = rows = tuple(map(tuple, m[rest:, rest:].tolist()))
-    return _Block(rows, rows == ((0, 1), (1, 0)), not (b01 or b10))
 
 
 def _act(cube: np.ndarray, index: list, axis: int, block: _Block) -> None:

@@ -11,8 +11,9 @@ delivered to that party, and the final state is returned on the data
 register (party order).  Branch outcomes are supplied up front so that the
 module above can enumerate all of them exhaustively; with no branch given,
 every outcome is left :class:`~telegate.network.Unforced` and one run on a
-batch covers all branches.  :func:`measurement_schedule` reads the same
-validated list, so it refuses what a run refuses and cannot drift from it.
+batch covers all branches.  A :class:`ProtocolSpec` is checked when it is
+built and keeps its list once built, and :func:`measurement_schedule` reads
+that same list, so it refuses what a run refuses and cannot drift from it.
 
 A forced branch runs the list in written order, which is the order of the
 events its trace renders from the list.  An unforced run takes a topological
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -79,6 +80,12 @@ def topology_for(family: ProtocolFamily) -> TopologyKind:
 class ProtocolSpec:
     """A protocol family instantiated with a party count and payload gate.
 
+    Construction refuses, in this order, n < 2, a register over the limit
+    (before anything is allocated), a payload on more than one qubit and a
+    non-unitary payload, each with ``ValueError``.  A non-involutory
+    ``series-ch`` payload is a valid spec: running or verifying it is what
+    raises :class:`~telegate.errors.InvolutionRequired`.
+
     n = 2 is the degenerate case: all three families reduce to standard
     single-pair controlled-U gate teleportation (1 ebit, 2 cbits).
     """
@@ -86,8 +93,10 @@ class ProtocolSpec:
     family: ProtocolFamily
     n: int
     payload: Gate
+    _involution: bool = field(default=False, init=False, repr=False, compare=False)
+    _ops: tuple[Op, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def validate(self, *, enforce_involution: bool = True) -> None:
+    def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 parties, got n={self.n}")
         check_register_size(self.n)
@@ -96,19 +105,31 @@ class ProtocolSpec:
         flags = validate_gate(self.payload)
         if not flags.unitary:
             raise ValueError(f"payload {self.payload.label!r} is not unitary")
-        if (
-            enforce_involution
-            and self.family is ProtocolFamily.SERIES_SIMULTANEOUS_CH
-            and not flags.involution
-        ):
-            raise InvolutionRequired(
-                f"payload {self.payload.label!r} is not an involution; the series "
-                "simultaneous protocol is deterministic only for Hermitian unitaries"
-            )
+        object.__setattr__(self, "_involution", flags.involution)
 
     @property
     def num_measurements(self) -> int:
         return 2 * (self.n - 1)
+
+    @property
+    def ops(self) -> tuple[Op, ...]:
+        """The fixed, branch-independent operation list, built on first use
+        and kept."""
+        if self._ops is None:
+            ops = _OPS_BY_FAMILY[self.family](self.n, controlled(self.payload, 1))
+            object.__setattr__(self, "_ops", tuple(ops))
+        return self._ops
+
+
+def _require_involution(spec: ProtocolSpec) -> None:
+    """Refuse a ``series-ch`` spec whose payload is not an involution: its
+    relays implement U^(XOR of controls), the simultaneous gate only when
+    U^2 = I."""
+    if spec.family is ProtocolFamily.SERIES_SIMULTANEOUS_CH and not spec._involution:
+        raise InvolutionRequired(
+            f"payload {spec.payload.label!r} is not an involution; the series "
+            "simultaneous protocol is deterministic only for Hermitian unitaries"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,14 +245,6 @@ _OPS_BY_FAMILY = {
 }
 
 
-@functools.lru_cache(maxsize=8)
-def _checked_ops(spec: ProtocolSpec, enforce_involution: bool) -> tuple[Op, ...]:
-    """Validate ``spec`` and build its fixed, branch-independent operation
-    list, once per spec among the eight most recently used."""
-    spec.validate(enforce_involution=enforce_involution)
-    return tuple(_OPS_BY_FAMILY[spec.family](spec.n, controlled(spec.payload, 1)))
-
-
 def _touched(op: Op) -> tuple[str, ...]:
     return (op.qubit,) if isinstance(op, Measure) else op.qubits
 
@@ -285,8 +298,8 @@ def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple
 def measurement_schedule(spec: ProtocolSpec) -> list[tuple[int, str, MeasurementBasis]]:
     """The fixed, branch-independent (party, qubit label, basis) sequence;
     refuses a spec as :func:`run_protocol` does."""
-    ops = _checked_ops(spec, True)
-    return [(op.party, op.qubit, op.basis) for op in ops if isinstance(op, Measure)]
+    _require_involution(spec)
+    return [(op.party, op.qubit, op.basis) for op in spec.ops if isinstance(op, Measure)]
 
 
 def _interpret(ops: Sequence[Op], net: Network, branch: Sequence[int | Unforced]) -> list:
@@ -325,7 +338,7 @@ def run_protocol(
     order.  Returns the network's :attr:`~telegate.network.Network.state`:
     ``None`` when it has several rows.
 
-    ``enforce_involution=False`` skips the series-ch payload certificate; it
+    ``enforce_involution=False`` skips the series-ch involution requirement; it
     exists so the verification layer can demonstrate that non-involutory
     payloads break determinism against the simultaneous-gate oracle.
     """
@@ -336,16 +349,19 @@ def run_protocol(
 def _checked_run(
     spec: ProtocolSpec, net: Network, branch: Sequence[int] | None, enforce_involution: bool = True
 ) -> tuple[tuple[Op, ...], list[float | None]]:
-    """:func:`run_protocol` up to its result: check the network, spec and branch,
-    then run.  Returns the op list and what each measurement returned in
-    written order: its conditional probability on one row given a branch."""
+    """:func:`run_protocol` up to its result: check the network, the
+    involution requirement and the branch, then run.  Returns the op list and
+    what each measurement returned in written order: its conditional
+    probability on one row given a branch."""
     kind = topology_for(spec.family)
     if net.topology.kind is not kind or net.n != spec.n:
         raise TopologyMismatch(
             f"{spec.family.value} n={spec.n} needs a {kind.value} network of {spec.n} "
             f"parties, got a {net.topology.kind.value} network of {net.n}"
         )
-    ops = _checked_ops(spec, enforce_involution)
+    if enforce_involution:
+        _require_involution(spec)
+    ops = spec.ops
     count = spec.num_measurements
     if branch is None:
         order, written = _batch_order(spec.family, spec.n)

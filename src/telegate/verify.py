@@ -24,8 +24,8 @@ from .network import CostLedger, build_batch, register_qubits
 from .protocols import (
     ProtocolFamily,
     ProtocolSpec,
-    _checked_ops,
     _oracle_rows,
+    _require_involution,
     run_protocol,
     topology_for,
 )
@@ -171,7 +171,6 @@ def enumerate_branches(
     Impossible branches (a measurement with probability below 1e-12) are
     retained with their flag set and fidelity 0 rather than raising.
     """
-    _checked_ops(spec, enforce_involution)
     probabilities, fidelities, impossible, ledger = _force_all(
         spec, [input_state], enforce_involution
     )
@@ -198,7 +197,6 @@ def verify_inputs(
     inputs = list(inputs)
     if not inputs:
         raise ValueError("need at least one input state")
-    _checked_ops(spec, True)
     uniform = 2.0 ** -spec.num_measurements
     per_pass = max(1, AMPLITUDE_BUDGET >> register_qubits(spec.n))
     min_fidelity = float("inf")
@@ -236,8 +234,9 @@ def verify_protocol(
     num_random_inputs: int = 20,
     seed: int | None = 0,
 ) -> VerificationReport:
-    """Run the full sweep: every computational basis input plus random states."""
-    _checked_ops(spec, True)
+    """Run the full sweep: every computational basis input plus random states.
+    A spec the sweep would refuse is refused before any input is made."""
+    _require_involution(spec)
     rng = np.random.default_rng(seed)
     inputs = _all_basis_states(spec.n)
     inputs += [random_state(spec.n, rng) for _ in range(num_random_inputs)]

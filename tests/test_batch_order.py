@@ -28,7 +28,7 @@ from telegate import (
 )
 from telegate import verify
 from telegate.network import Network, TopologyKind, Unforced, build_batch
-from telegate.protocols import LocalGate, Measure, _batch_order, _checked_ops, _interpret
+from telegate.protocols import LocalGate, Measure, _batch_order, _interpret
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
 SERIES_CH = ProtocolFamily.SERIES_SIMULTANEOUS_CH
@@ -39,11 +39,10 @@ CX = controlled(pauli_x(), 1)
 ATOL = 1e-12
 
 
-def _written_order_run(spec, inputs, enforce_involution):
+def _written_order_run(spec, inputs):
     """``_force_all``'s arrays from a batch run in written order."""
     net = build_batch(topology_for(spec.family), spec.n, inputs)
-    ops = _checked_ops(spec, enforce_involution)
-    _interpret(ops, net, [Unforced(k) for k in range(spec.num_measurements)])
+    _interpret(spec.ops, net, [Unforced(k) for k in range(spec.num_measurements)])
     shape = (len(inputs), 1 << spec.num_measurements)
     probabilities = net.probabilities.reshape(shape)
     final = net.register.reshape(shape + (-1,))
@@ -55,7 +54,7 @@ def _written_order_run(spec, inputs, enforce_involution):
 
 def _assert_same_as_written_order(spec, inputs, enforce_involution=True):
     derived = verify._force_all(spec, inputs, enforce_involution)
-    written = _written_order_run(spec, inputs, enforce_involution)
+    written = _written_order_run(spec, inputs)
     for got, expected in zip(derived[:3], written[:3]):
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
@@ -84,7 +83,7 @@ def test_non_involutory_series_ch_matches_the_written_order_run(n):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_batch_order_is_a_topological_order(family, n):
-    ops = _checked_ops(ProtocolSpec(family, n, random_unitary(0)), False)
+    ops = ProtocolSpec(family, n, random_unitary(0)).ops
     order, written = _batch_order(family, n)
     assert sorted(order) == list(range(len(ops)))
     position = {j: p for p, j in enumerate(order)}

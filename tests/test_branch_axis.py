@@ -32,7 +32,7 @@ from telegate import (
 )
 from telegate import verify
 from telegate.network import TopologyKind, Unforced, build_batch
-from telegate.protocols import _checked_ops, _interpret
+from telegate.protocols import _interpret
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
 SERIES_CH = ProtocolFamily.SERIES_SIMULTANEOUS_CH
@@ -130,7 +130,7 @@ def test_verify_inputs_is_the_same_across_pass_boundaries(monkeypatch):
 def test_a_forced_first_outcome_keeps_that_half_of_the_unforced_run(family):
     payload = random_involution(95) if family is SERIES_CH else random_unitary(95)
     spec = ProtocolSpec(family, 3, payload)
-    ops = _checked_ops(spec, True)
+    ops = spec.ops
     inputs = _inputs(3, 96)
     runs = []
     for branch in ([1, *map(Unforced, (1, 2, 3))], [Unforced(w) for w in range(4)]):

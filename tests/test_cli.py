@@ -77,7 +77,10 @@ def test_run_literal_input(tmp_path):
 def test_series_ch_rejects_non_involutory_payload(capsys):
     code = main(["run", "--family", "series-ch", "--n", "3", "--payload", "randU:42"])
     assert code == 2
-    assert "InvolutionRequired" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: InvolutionRequired: payload 'randU:42' is not an involution; the series "
+        "simultaneous protocol is deterministic only for Hermitian unitaries\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -222,7 +225,7 @@ def test_locality_violation_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("telegate.cli.verify_protocol", boom)
     code = main(["run", "--family", "parallel-cu", "--n", "3"])
     assert code == 3
-    assert "LocalityViolation" in capsys.readouterr().err
+    assert capsys.readouterr().err == "internal error: LocalityViolation: transcription bug\n"
 
 
 def test_failed_verification_exits_1(monkeypatch, capsys):
@@ -339,6 +342,8 @@ def _without(trace, key):
         (lambda t: {**t, "input": [[float("nan"), 0]] + t["input"][1:]}, "not normalized"),
         (lambda t: {**t, "input": [True] + t["input"][1:]}, "not a number"),
         (lambda t: {**t, "payload": {**t["payload"], "matrix": _BOOL_IDENTITY}}, "not a number"),
+        # the recorded randU:5 payload is not an involution
+        (lambda t: {**t, "family": "series-ch"}, "error: InvolutionRequired: payload 'randU:5'"),
     ],
     ids=[
         "truncated-branch",
@@ -352,6 +357,7 @@ def _without(trace, key):
         "nan-input",
         "bool-amplitude",
         "bool-matrix-entry",
+        "non-involutory-series-ch",
     ],
 )
 def test_malformed_trace_exits_2(tmp_path, capsys, corrupt, message):
@@ -521,17 +527,18 @@ def _count_validations(monkeypatch) -> list:
     return calls
 
 
-def test_run_and_replay_each_validate_the_payload_once(monkeypatch, tmp_path):
+@pytest.mark.parametrize("payload", ["randU:3", "I"])
+def test_run_and_replay_each_validate_the_payload_once(monkeypatch, tmp_path, payload):
     calls = _count_validations(monkeypatch)
     trace_path, report_path = tmp_path / "trace.json", tmp_path / "report.json"
     assert main([
-        "run", "--family", "series-ncu", "--n", "3", "--payload", "randU:3", "--inputs", "random:2",
+        "run", "--family", "series-ncu", "--n", "3", "--payload", payload, "--inputs", "random:2",
         "--trace-out", str(trace_path), "--report-out", str(report_path),
     ]) == 0
-    assert calls == ["randU:3"]
+    assert calls == [payload]
     calls.clear()
     assert main(["replay", str(trace_path)]) == 0
-    assert calls == ["randU:3"]
+    assert calls == [payload]
 
 
 def test_python_dash_m_runs_the_command_in_a_fresh_process():

@@ -12,7 +12,6 @@ from telegate import (
     controlled,
     hadamard,
     identity,
-    involution_certificate,
     parse_gate_spec,
     pauli_x,
     pauli_z,
@@ -140,9 +139,6 @@ class TestRandomInvolution:
             random_involution(11).matrix, random_involution(11).matrix
         )
 
-    def test_hadamard_passes_same_certificate(self):
-        assert involution_certificate(hadamard()).certified
-
 
 class TestValidate:
     def test_hadamard_flags(self):
@@ -150,16 +146,23 @@ class TestValidate:
 
     def test_random_unitary_flags(self):
         assert validate(random_unitary(7)) == (True, False)
+        assert validate(random_unitary(3)) == (True, False)
+
+    def test_random_involution_flags(self):
+        assert validate(random_involution(3)) == (True, True)
 
     def test_non_unitary_matrix(self):
         ones = Gate(1, np.ones((2, 2)), "ones")
         assert validate(ones) == (False, False)
 
-    def test_certificate_residual_matches(self):
-        cert = involution_certificate(random_involution(3))
-        assert cert.certified
-        assert cert.residual < 1e-10
-        assert not involution_certificate(random_unitary(3)).certified
+    @pytest.mark.parametrize(
+        "gate, involution",
+        [(hadamard(), True), (random_involution(3), True), (random_unitary(3), False)],
+        ids=["H", "randH:3", "randU:3"],
+    )
+    def test_involution_flag_is_the_residual_under_the_tolerance(self, gate, involution):
+        residual = involution_residual(gate.matrix)
+        assert (residual < 1e-10) == involution == validate(gate).involution
 
 
 class TestGateConstruction:

@@ -94,9 +94,17 @@ class TestMeasurementSchedule:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_refuses_a_spec_over_the_register_limit(self, family):
-        # n = 9 needs a 25-qubit register; the schedule refuses it as a run does
+        # n = 9 needs a 25-qubit register; the spec itself is refused
         with pytest.raises(ValueError, match="limit"):
             measurement_schedule(ProtocolSpec(family, 9, hadamard()))
+
+    def test_refuses_a_non_involutory_series_ch_payload(self):
+        # as a run does, and as the trace of one branch does
+        spec = ProtocolSpec(SERIES_CH, 3, random_unitary(5))
+        with pytest.raises(InvolutionRequired):
+            measurement_schedule(spec)
+        with pytest.raises(InvolutionRequired):
+            record_trace(spec, random_state(3, 5), [0] * 4)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_trace_follows_the_schedule(self, family):
@@ -111,39 +119,63 @@ class TestMeasurementSchedule:
 
 
 class TestSpecValidation:
+    """A spec is refused when it is built, with the errors ``run_protocol``
+    raised for it when validation ran per call."""
+
     def test_rejects_single_party(self):
-        with pytest.raises(ValueError):
-            ProtocolSpec(PARALLEL, 1, random_unitary(0)).validate()
+        with pytest.raises(ValueError, match="need at least 2 parties"):
+            ProtocolSpec(PARALLEL, 1, random_unitary(0))
 
     def test_rejects_multi_qubit_payload(self):
-        with pytest.raises(ValueError):
-            ProtocolSpec(PARALLEL, 3, CX).validate()
+        with pytest.raises(ValueError, match="single-qubit gate"):
+            ProtocolSpec(PARALLEL, 3, CX)
 
     def test_rejects_non_unitary_payload(self):
-        with pytest.raises(ValueError):
-            ProtocolSpec(PARALLEL, 3, Gate(1, np.ones((2, 2)), "ones")).validate()
+        with pytest.raises(ValueError, match="'ones' is not unitary"):
+            ProtocolSpec(PARALLEL, 3, Gate(1, np.ones((2, 2)), "ones"))
+
+    def test_checks_run_in_order(self):
+        # the party count and the register limit come before the payload
+        with pytest.raises(ValueError, match="need at least 2 parties"):
+            ProtocolSpec(PARALLEL, 1, CX)
+        with pytest.raises(ValueError, match="limit is 22 qubits"):
+            ProtocolSpec(PARALLEL, 9, Gate(1, np.ones((2, 2)), "ones"))
 
     def test_series_ch_requires_involution(self):
-        with pytest.raises(InvolutionRequired):
-            ProtocolSpec(SERIES_CH, 3, random_unitary(5)).validate()
+        # a valid spec, refused when it is run
+        spec = ProtocolSpec(SERIES_CH, 3, random_unitary(5))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
+        with pytest.raises(InvolutionRequired, match="'randU:5' is not an involution"):
+            run_protocol(spec, net, None)
 
     def test_involution_check_can_be_bypassed(self):
-        ProtocolSpec(SERIES_CH, 3, random_unitary(5)).validate(enforce_involution=False)
+        spec = ProtocolSpec(SERIES_CH, 3, random_unitary(5))
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
+        run_protocol(spec, net, None, enforce_involution=False)
+        assert net.probabilities.shape == (16,)
 
     def test_involutory_payloads_accepted(self):
-        ProtocolSpec(SERIES_CH, 3, hadamard()).validate()
-        ProtocolSpec(SERIES_CH, 3, random_involution(5)).validate()
+        for payload in (hadamard(), random_involution(5)):
+            assert len(measurement_schedule(ProtocolSpec(SERIES_CH, 3, payload))) == 4
 
     def test_register_limit(self):
         # 3n - 2 <= 22 register qubits: n = 8 is the largest network
-        ProtocolSpec(PARALLEL, 8, random_unitary(0)).validate()
+        ProtocolSpec(PARALLEL, 8, random_unitary(0))
         with pytest.raises(ValueError, match="limit is 22 qubits"):
-            ProtocolSpec(PARALLEL, 9, random_unitary(0)).validate()
+            ProtocolSpec(PARALLEL, 9, random_unitary(0))
 
     def test_register_limit_message_for_a_huge_n(self):
         # the refusal must not try to print 16 << 3n-2 as a decimal
         with pytest.raises(ValueError, match="limit is 22 qubits"):
-            ProtocolSpec(PARALLEL, 10**6, random_unitary(0)).validate()
+            ProtocolSpec(PARALLEL, 10**6, random_unitary(0))
+
+    def test_op_list_is_kept_and_not_compared(self):
+        payload = random_unitary(0)
+        spec, twin = ProtocolSpec(PARALLEL, 3, payload), ProtocolSpec(PARALLEL, 3, payload)
+        assert spec.ops is spec.ops
+        assert spec == twin and hash(spec) == hash(twin)
+        assert twin.ops is not spec.ops
+        assert "ops" not in repr(spec)
 
 
 def _stage_state(net):

@@ -31,7 +31,7 @@ from telegate import (
     topology_for,
 )
 from telegate.cli import _normalized_events, _pairs_to_amplitudes, main, record_trace
-from telegate.protocols import LocalGate, _checked_ops
+from telegate.protocols import LocalGate
 from conftest import (
     computational_projector_probability,
     hadamard_projector_probability,
@@ -64,7 +64,7 @@ def _apply_events(spec, state, events) -> np.ndarray:
     net = with_all_pairs(build_batch(topology_for(spec.family), spec.n, [state]))
     register = net.state
     labels = [net.label_at(i) for i in range(register.num_qubits)]
-    gates = {op.gate.label: op.gate for op in _checked_ops(spec, True) if isinstance(op, LocalGate)}
+    gates = {op.gate.label: op.gate for op in spec.ops if isinstance(op, LocalGate)}
     amps = register.amplitudes
     for ev in events:
         if ev["type"] == "gate":

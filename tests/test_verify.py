@@ -121,16 +121,27 @@ class TestVerifyProtocol:
         def must_not_run(*args):
             raise AssertionError("ran with no inputs")
 
-        monkeypatch.setattr("telegate.verify._checked_ops", must_not_run)
         monkeypatch.setattr("telegate.verify._force_all", must_not_run)
         spec = ProtocolSpec(PARALLEL, 3, random_unitary(7))
         with pytest.raises(ValueError, match="at least one input"):
             verify_inputs(spec, [])
 
-    def test_involution_violation_surfaces(self):
+    def test_involution_violation_surfaces(self, monkeypatch):
         spec = ProtocolSpec(SERIES_CH, 3, random_unitary(10))
+        psi = random_state(3, 10)
+        with pytest.raises(InvolutionRequired):
+            verify_inputs(spec, [psi])
+
+        def must_not_run(*args):
+            raise AssertionError("an input was generated for a refused spec")
+
+        monkeypatch.setattr("telegate.verify.random_state", must_not_run)
+        monkeypatch.setattr("telegate.verify._all_basis_states", must_not_run)
         with pytest.raises(InvolutionRequired):
             verify_protocol(spec, num_random_inputs=1)
+        # the check alone is skipped on request: the run goes through and misses
+        table = enumerate_branches(spec, psi, enforce_involution=False)
+        assert float(table.fidelities.min()) < 1 - 1e-3
 
     def test_four_party_generalized_toffoli(self):
         spec = ProtocolSpec(SERIES_NCU, 4, pauli_x())
@@ -199,7 +210,7 @@ class TestStackedOracle:
 
 class TestNegativeInvolutionProperty:
     def test_non_involutory_payload_breaks_some_branch(self):
-        # bypassing the certificate must expose a branch that disagrees with
+        # bypassing the involution check must expose a branch that disagrees with
         # the simultaneous-payload oracle
         for seed in range(10):
             spec = ProtocolSpec(SERIES_CH, 3, random_unitary(seed))
