@@ -93,7 +93,7 @@ def record_trace(spec: ProtocolSpec, input_state: StateVector, branch: list[int]
     rendered from the op list, probabilities and final state from the register."""
     branch = list(branch)
     net = build_batch(topology_for(spec.family), spec.n, [input_state])
-    ops, probabilities = _checked_run(spec, net, branch)
+    probabilities = _checked_run(spec, net, branch)
     final = net.state
     return {
         "schema": SCHEMA_VERSION,
@@ -102,7 +102,7 @@ def record_trace(spec: ProtocolSpec, input_state: StateVector, branch: list[int]
         "payload": {"label": spec.payload.label, "matrix": _matrix_pairs(spec.payload)},
         "input": state_pairs(input_state),
         "branch": branch,
-        "events": _events(ops, branch, probabilities),
+        "events": _events(spec.ops, branch, probabilities),
         "final_state": state_pairs(final),
         "final_state_hash": state_hash(final),
     }

@@ -1,17 +1,18 @@
 """LOCC world model: parties, Bell-pair distribution, and a classical bus.
 
 A :class:`Network` owns the joint statevector, a qubit-ownership map, the
-entanglement topology, and a message bus that counts classical bits per
-(sender, recipient) delivery.  Local operations are gated by ownership: a
-party touching a qubit it does not hold raises :class:`LocalityViolation`,
-which is the core safety property of the model.  The register holds one row
-per input and branch: a measurement given a forced outcome keeps that half of
-every row, and one left :class:`Unforced` keeps both, so one run can hold
-every branch of many inputs.  An unforced outcome names its measurement's
-place in the protocol's written order, and its bit takes that place in the
-row index whatever order the measurements run in.  A network keeps no
-record of the operations run on it: :mod:`telegate.cli` renders a forced
-branch's events from the protocol's op list.
+entanglement topology, and a message bus: one map from (recipient, tag) to
+bit, each (sender, recipient) delivery counted as one classical bit.  Local
+operations are gated by ownership: a party touching a qubit it does not hold
+raises :class:`LocalityViolation`, which is the core safety property of the
+model.  The register holds one row per input and branch: a measurement
+given a forced outcome keeps that half of every row, and one left
+:class:`Unforced` keeps both, so one run can hold every branch of many
+inputs.  An unforced outcome names its measurement's place in the
+protocol's written order, and its bit takes that place in the row index
+whatever order the measurements run in.  A network keeps no record of the
+operations run on it: :mod:`telegate.cli` renders a forced branch's events
+from the protocol's op list.
 
 Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
 last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
@@ -26,17 +27,23 @@ are never touched.
 
 Register layout
 ---------------
-Qubits carry stable string labels; global indices shift as measured qubits
-are discarded, so code should resolve labels via :meth:`Network.qubit_index`
-right before use.  With n parties (party n is the target), the register
-starts as the data qubits ``d1 ... dn`` in party order, and each Bell pair's
-two halves are appended at its end, ``label_a`` then ``label_b``, when either
-label is first resolved: ``ei`` (control party i) and ``ti`` (the target) in
-the parallel topology, ``fi`` (party i) and ``r{i+1}`` (party i+1) in the
-series one.  Until then a pair is counted in the ledger but holds no
-amplitudes, so early operations act on smaller arrays.  :attr:`Network.state`,
-:attr:`Network.register`, :meth:`Network.label_at` and
-:meth:`Network.held_qubits` show live qubits only.
+Qubits carry stable string labels, and every operation names its qubits by
+label: :meth:`Network.local_apply`, :meth:`Network.apply_if` and
+:meth:`Network.local_measure` check that the party holds each label, then
+resolve it to its current index, which shifts as measured qubits are
+discarded.  A label no party holds (a measured one, or a name that never
+was a label) is refused with :class:`LocalityViolation`, and a refused
+operation leaves the network unchanged.  With n parties (party n is the
+target), the register starts as the data qubits ``d1 ... dn`` in party
+order, and each Bell pair's two halves are appended at its end, ``label_a``
+then ``label_b``, when an operation first names either label: ``ei``
+(control party i) and ``ti`` (the target) in the parallel topology, ``fi``
+(party i) and ``r{i+1}`` (party i+1) in the series one.  Until then a pair
+is counted in the ledger but holds no amplitudes, so early operations act
+on smaller arrays.  :meth:`Network.qubit_index` and :meth:`Network.label_at`
+are layout queries (the first also joins a pending pair it names);
+:attr:`Network.state`, :attr:`Network.register`, :meth:`Network.label_at`
+and :meth:`Network.held_qubits` show live qubits only.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -104,20 +111,6 @@ class CostLedger:
 
     def copy(self) -> "CostLedger":
         return CostLedger(self.ebits, self.cbits)
-
-
-@dataclass(frozen=True, slots=True)
-class ClassicalMessage:
-    sender: int
-    recipient: int
-    bit: int | Unforced
-    tag: str
-
-
-@dataclass(slots=True)
-class Party:
-    id: int
-    inbox: list[ClassicalMessage] = field(default_factory=list)
 
 
 # The resource state (|00> + |11>)/sqrt(2).
@@ -280,7 +273,7 @@ def _apply(
 
 
 class Network:
-    """Mutable protocol-execution context.
+    """Mutable protocol-execution context for an n-party network of ``kind``.
 
     The register is one ``(rows, 2^qubits)`` array over the live qubits (see
     the module docstring for their order), one row per input at first.  A
@@ -292,38 +285,31 @@ class Network:
     array is C-contiguous whatever has run, so gates reshape it into views.
     Ownership and inbox checks run once per operation whatever the rows and
     bits; ownership is read from the label map, so it follows the register
-    as measured qubits leave it.
+    as measured qubits leave it.  The ledger starts with the n-1 distributed
+    ebits.
     """
 
-    def __init__(
-        self,
-        n: int,
-        register: np.ndarray,
-        labels: list[str],
-        owner: dict[str, int],
-        parties: dict[int, Party],
-        topology: Topology,
-        ledger: CostLedger,
-    ):
+    def __init__(self, kind: TopologyKind, n: int, register: np.ndarray):
         self.n = n
+        self.topology = Topology(kind, n, _bell_edges(kind, n))
+        self.ledger = CostLedger(ebits=n - 1)
         self._amps = np.ascontiguousarray(register)
-        self._labels = labels
-        self._owner = owner
-        self.parties = parties
-        self.topology = topology
-        self.ledger = ledger
+        self._labels = [f"d{i}" for i in range(1, n + 1)]
+        self._owner = {f"d{i}": i for i in range(1, n + 1)}
+        # Bell pairs not yet in the register, by the label of either half.
+        self._pending: dict[str, BellEdge] = {}
+        for edge in self.topology.bell_pairs:
+            self._owner[edge.label_a] = edge.party_a
+            self._owner[edge.label_b] = edge.party_b
+            self._pending[edge.label_a] = self._pending[edge.label_b] = edge
+        # The bit delivered to each recipient under each tag; the first one kept.
+        self._inbox: dict[tuple[int, str], int | Unforced] = {}
         # Written indices of the unforced outcomes taken, ascending: the
         # branch bits of a row index, most significant first.
         self._split: list[int] = []
         # Each row's squared norm as of its last measurement; inputs are normalized.
         self._norms2 = np.ones(register.shape[0])
         self._impossible = np.zeros(register.shape[0], dtype=bool)
-        # Bell pairs not yet in the register, by the label of either half.
-        self._pending = {
-            label: edge
-            for edge in topology.bell_pairs
-            for label in (edge.label_a, edge.label_b)
-        }
 
     # -- register ------------------------------------------------------------
 
@@ -363,63 +349,77 @@ class Network:
         then ``label_b``.
         """
         if label in self._pending:
-            self._tensor_in(self._pending[label])
+            self._commit(*self._joined([label]))
         try:
             return self._labels.index(label)
         except ValueError:
             raise KeyError(f"no live qubit labelled {label!r}") from None
 
-    def _tensor_in(self, edge: BellEdge) -> None:
-        rows = self._amps.shape[0]
-        self._amps = (self._amps[:, :, None] * _BELL).reshape(rows, -1)
-        self._labels += [edge.label_a, edge.label_b]
-        del self._pending[edge.label_a], self._pending[edge.label_b]
-
     def label_at(self, index: int) -> str:
         return self._labels[index]
 
-    def held_qubits(self, party_id: int) -> set[int]:
-        """Current global indices of the qubits ``party_id`` holds."""
-        return {i for i, lbl in enumerate(self._labels) if self._owner[lbl] == party_id}
+    def held_qubits(self, party_id: int) -> set[str]:
+        """Labels of the live qubits ``party_id`` holds."""
+        return {label for label in self._labels if self._owner[label] == party_id}
 
-    def _holds(self, party_id: int, index: int) -> bool:
-        return 0 <= index < len(self._labels) and self._owner[self._labels[index]] == party_id
+    def _resolve(
+        self, party_id: int, labels: Sequence[str]
+    ) -> tuple[np.ndarray, list[str], list[int]]:
+        """The register and live labels with every pending pair that
+        ``labels`` names joined, and each label's index in them.
 
-    def _check_gate(self, party_id: int, gate: Gate, targets: list[int]) -> None:
-        foreign = [t for t in targets if not self._holds(party_id, t)]
+        Refuses a label ``party_id`` does not hold, measured and unknown
+        ones included, before anything is resolved.  Nothing changes here:
+        an operation commits with :meth:`_commit` once its checks pass, so a
+        refused one leaves the network as it was.
+        """
+        foreign = [label for label in labels if self._owner.get(label) != party_id]
         if foreign:
-            names = [self._labels[t] for t in foreign if 0 <= t < len(self._labels)]
-            raise LocalityViolation(
-                f"party {party_id} does not hold qubit(s) {foreign} {names}"
-            )
-        _check_targets(gate, targets, len(self._labels))
+            raise LocalityViolation(f"party {party_id} does not hold qubit(s) {foreign}")
+        amps, live = self._joined(labels)
+        return amps, live, [live.index(label) for label in labels]
+
+    def _joined(self, labels: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+        """The register and live labels with each pending pair ``labels``
+        names tensored in at the end, in the order first named."""
+        amps, live, pending = self._amps, self._labels, self._pending
+        for edge in dict.fromkeys(pending[label] for label in labels if label in pending):
+            amps = (amps[:, :, None] * _BELL).reshape(amps.shape[0], -1)
+            live = live + [edge.label_a, edge.label_b]
+        return amps, live
+
+    def _commit(self, amps: np.ndarray, live: list[str]) -> None:
+        for label in live[len(self._labels):]:
+            del self._pending[label]
+        self._amps, self._labels = amps, live
 
     # -- local operations ------------------------------------------------
 
-    def local_apply(self, party_id: int, gate: Gate, targets: list[int]) -> None:
-        """Apply a gate to qubits all held by ``party_id``."""
-        self._gate(party_id, gate, targets, None)
+    def local_apply(self, party_id: int, gate: Gate, labels: Sequence[str]) -> None:
+        """Apply a gate to the qubits labelled ``labels``, all held by ``party_id``."""
+        self._gate(party_id, gate, labels, None)
 
     def apply_if(
-        self, party_id: int, gate: Gate, targets: list[int], tags: Sequence[str]
+        self, party_id: int, gate: Gate, labels: Sequence[str], tags: Sequence[str]
     ) -> None:
         """Apply a gate to the rows where the XOR of the bits ``party_id`` holds
         under ``tags`` is 1; ownership and targets are checked whatever the bits."""
-        self._gate(party_id, gate, targets, tags)
+        self._gate(party_id, gate, labels, tags)
 
     def _gate(
-        self, party_id: int, gate: Gate, targets: list[int], tags: Sequence[str] | None
+        self, party_id: int, gate: Gate, labels: Sequence[str], tags: Sequence[str] | None
     ) -> None:
-        targets = list(targets)
-        self._check_gate(party_id, gate, targets)
+        amps, live, targets = self._resolve(party_id, labels)
+        _check_targets(gate, targets, len(live))
         bits = None if tags is None else [self.read_cbit(party_id, tag) for tag in tags]
-        self._amps = _apply(self._amps, len(self._labels), gate, targets, self._split, bits)
+        self._commit(_apply(amps, len(live), gate, targets, self._split, bits), live)
 
     def local_measure(
-        self, party_id: int, qubit: int, basis: MeasurementBasis, outcome: int | Unforced
+        self, party_id: int, label: str, basis: MeasurementBasis, outcome: int | Unforced
     ) -> float | None:
-        """Measure ``qubit``, keep the half of every row that ``outcome`` names
-        (both halves for an :class:`Unforced` one) and discard ``qubit``.
+        """Measure the qubit labelled ``label``, keep the half of every row
+        that ``outcome`` names (both halves for an :class:`Unforced` one) and
+        discard the qubit.
 
         A kept row of conditional probability below 1e-12 is flagged
         impossible; a forced outcome no row can take raises
@@ -435,25 +435,23 @@ class Network:
                 raise ValueError(f"{outcome!r} is not a fresh written measurement index")
         elif not _is_bit(outcome):
             raise ValueError(f"outcome must be an integer 0 or 1, got {outcome!r}")
-        if not self._holds(party_id, qubit):
-            raise LocalityViolation(f"party {party_id} does not hold qubit {qubit}")
-        label = self._labels[qubit]
-        rows = self._amps.shape[0]
+        amps, live, (qubit,) = self._resolve(party_id, [label])
+        rows = amps.shape[0]
         parent, impossible = self._norms2, self._impossible
         if unforced:
             # the bit goes in at its written index's rank among the split ones
             lead = rows >> (len(self._split) - bisect.bisect(self._split, outcome.index))
-            amps = _measured(self._amps, qubit, basis, (0, 1), lead)
+            amps = _measured(amps, qubit, basis, (0, 1), lead)
             parent, impossible = _spread(parent, lead), _spread(impossible, lead)
         else:
-            amps = _measured(self._amps, qubit, basis, (outcome,), rows)
+            amps = _measured(amps, qubit, basis, (outcome,), rows)
         norms2 = _row_norms2(amps)
         impossible = impossible | (norms2 < IMPOSSIBLE_CUTOFF * parent)
         if not unforced and impossible.all():
             raise ImpossibleBranchError(
                 f"outcome {outcome} on qubit {label} is impossible in every row"
             )
-        self._amps = amps
+        self._commit(amps, live)
         self._norms2 = norms2
         self._impossible = impossible
         if unforced:
@@ -465,27 +463,29 @@ class Network:
     # -- classical bus ----------------------------------------------------
 
     def send_cbit(self, sender: int, recipient: int, bit: int | Unforced, tag: str) -> None:
-        """Deliver one classical bit; each delivery costs one cbit."""
+        """Deliver one classical bit; each delivery costs one cbit, and the
+        first bit delivered to a recipient under a tag is the one it reads."""
         if sender == recipient:
             raise ValueError(f"party {sender} cannot send a cbit to itself")
-        if sender not in self.parties or recipient not in self.parties:
+        parties = range(1, self.n + 1)
+        if sender not in parties or recipient not in parties:
             raise ValueError(f"unknown party in send {sender} -> {recipient}")
         if isinstance(bit, Unforced):
             if bit.index not in self._split:
                 raise ValueError(f"unforced outcome {bit.index} has not been measured")
         elif not _is_bit(bit):
             raise ValueError(f"cbit must be an integer 0 or 1, got {bit!r}")
-        self.parties[recipient].inbox.append(ClassicalMessage(sender, recipient, bit, tag))
+        self._inbox.setdefault((recipient, tag), bit)
         self.ledger.cbits += 1
 
     def read_cbit(self, party_id: int, tag: str) -> int | Unforced:
         """Read (without consuming) the bit delivered to ``party_id`` under ``tag``."""
-        if party_id not in self.parties:
+        if party_id not in range(1, self.n + 1):
             raise ValueError(f"unknown party {party_id}")
-        for msg in self.parties[party_id].inbox:
-            if msg.tag == tag:
-                return msg.bit
-        raise MissingMessage(f"party {party_id} has no message tagged {tag!r}")
+        try:
+            return self._inbox[party_id, tag]
+        except KeyError:
+            raise MissingMessage(f"party {party_id} has no message tagged {tag!r}") from None
 
 
 def _bell_edges(kind: TopologyKind, n: int) -> tuple[BellEdge, ...]:
@@ -500,7 +500,7 @@ def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Ne
 
     The register starts as the data qubits ``d1 ... dn`` (qubit i-1 of an
     input belongs to party i); each pair joins it when first named (see
-    :meth:`Network.qubit_index`).  The ledger already accounts for the n-1
+    the module docstring).  The ledger already accounts for the n-1
     distributed ebits.  A run of a protocol that leaves every outcome
     :class:`Unforced` covers every branch of every input.
     """
@@ -513,17 +513,4 @@ def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Ne
     if not inputs:
         raise ValueError("need at least one input state")
 
-    edges = _bell_edges(kind, n)
-    owner = {f"d{i}": i for i in range(1, n + 1)}
-    for edge in edges:
-        owner[edge.label_a] = edge.party_a
-        owner[edge.label_b] = edge.party_b
-    return Network(
-        n,
-        np.stack([state.amplitudes for state in inputs]),
-        [f"d{i}" for i in range(1, n + 1)],
-        owner,
-        {pid: Party(pid) for pid in range(1, n + 1)},
-        Topology(kind, n, edges),
-        CostLedger(ebits=n - 1),
-    )
+    return Network(kind, n, np.stack([state.amplitudes for state in inputs]))

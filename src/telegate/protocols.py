@@ -80,11 +80,13 @@ def topology_for(family: ProtocolFamily) -> TopologyKind:
 class ProtocolSpec:
     """A protocol family instantiated with a party count and payload gate.
 
-    Construction refuses, in this order, n < 2, a register over the limit
-    (before anything is allocated), a payload on more than one qubit and a
-    non-unitary payload, each with ``ValueError``.  A non-involutory
-    ``series-ch`` payload is a valid spec: running or verifying it is what
-    raises :class:`~telegate.errors.InvolutionRequired`.
+    Construction refuses, in this order, a family that is not a
+    :class:`ProtocolFamily`, an n that is not an integer (a bool is not one;
+    a numpy integer is), n < 2, a register over the limit (before anything
+    is allocated), a payload on more than one qubit and a non-unitary
+    payload, each with ``ValueError``.  A non-involutory ``series-ch``
+    payload is a valid spec: running or verifying it is what raises
+    :class:`~telegate.errors.InvolutionRequired`.
 
     n = 2 is the degenerate case: all three families reduce to standard
     single-pair controlled-U gate teleportation (1 ebit, 2 cbits).
@@ -97,6 +99,10 @@ class ProtocolSpec:
     _ops: tuple[Op, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, ProtocolFamily):
+            raise ValueError(f"family must be a ProtocolFamily, got {self.family!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 parties, got n={self.n}")
         check_register_size(self.n)
@@ -310,16 +316,14 @@ def _interpret(ops: Sequence[Op], net: Network, branch: Sequence[int | Unforced]
     for op in ops:
         if isinstance(op, Measure):
             bit = next(outcomes)
-            q = net.qubit_index(op.qubit)
-            probabilities.append(net.local_measure(op.party, q, op.basis, bit))
+            probabilities.append(net.local_measure(op.party, op.qubit, op.basis, bit))
             for recipient in op.recipients:
                 net.send_cbit(op.party, recipient, bit, op.qubit)
             continue
-        targets = list(map(net.qubit_index, op.qubits))
         if op.tags:
-            net.apply_if(op.party, op.gate, targets, op.tags)
+            net.apply_if(op.party, op.gate, op.qubits, op.tags)
         else:
-            net.local_apply(op.party, op.gate, targets)
+            net.local_apply(op.party, op.gate, op.qubits)
     return probabilities
 
 
@@ -348,11 +352,11 @@ def run_protocol(
 
 def _checked_run(
     spec: ProtocolSpec, net: Network, branch: Sequence[int] | None, enforce_involution: bool = True
-) -> tuple[tuple[Op, ...], list[float | None]]:
+) -> list[float | None]:
     """:func:`run_protocol` up to its result: check the network, the
-    involution requirement and the branch, then run.  Returns the op list and
-    what each measurement returned in written order: its conditional
-    probability on one row given a branch."""
+    involution requirement and the branch, then run.  Returns what each
+    measurement returned in written order: its conditional probability on
+    one row given a branch."""
     kind = topology_for(spec.family)
     if net.topology.kind is not kind or net.n != spec.n:
         raise TopologyMismatch(
@@ -366,11 +370,11 @@ def _checked_run(
     if branch is None:
         order, written = _batch_order(spec.family, spec.n)
         _interpret([ops[j] for j in order], net, [Unforced(w) for w in written])
-        return ops, [None] * count
+        return [None] * count
     branch = list(branch)
     if len(branch) != count or not all(map(_is_bit, branch)):
         raise ValueError(f"branch needs {count} integer outcome bits 0 or 1, got {branch!r}")
-    return ops, _interpret(ops, net, branch)
+    return _interpret(ops, net, branch)
 
 
 def _oracle_rows(spec: ProtocolSpec, rows: np.ndarray) -> np.ndarray:

@@ -284,21 +284,21 @@ def test_criterion_8_branch_probability_uniformity():
 
 
 class _MutatingNetwork(Network):
-    """Redirects the k-th gate call, plain or conditional, to a qubit the
-    acting party does not hold."""
+    """Redirects the k-th gate call, plain or conditional, to a live qubit
+    label the acting party does not hold."""
 
-    def local_apply(self, party_id, gate, targets):
-        super().local_apply(party_id, gate, self._redirect(party_id, targets))
+    def local_apply(self, party_id, gate, labels):
+        super().local_apply(party_id, gate, self._redirect(party_id, labels))
 
-    def apply_if(self, party_id, gate, targets, tags):
-        super().apply_if(party_id, gate, self._redirect(party_id, targets), tags)
+    def apply_if(self, party_id, gate, labels, tags):
+        super().apply_if(party_id, gate, self._redirect(party_id, labels), tags)
 
-    def _redirect(self, party_id, targets):
+    def _redirect(self, party_id, labels):
         if self._gate_calls == self._mutate_at:
-            foreign = min(set(range(len(self._labels))) - self.held_qubits(party_id))
-            targets = [foreign] + list(targets[1:])
+            foreign = min(set(self._labels) - self.held_qubits(party_id))
+            labels = [foreign] + list(labels[1:])
         self._gate_calls += 1
-        return targets
+        return labels
 
 
 def _armed_mutant(family, n, psi, k):

@@ -156,17 +156,15 @@ def test_outcome_bits_taken_out_of_order_land_in_written_order():
     # on the basis input; taken in written order, and in the order 2, 0, 1,
     # each outcome named by its written index.
     comp, had = MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD
-    written = [("d1", comp), ("e1", had), ("t2", comp)]
+    written = [(1, "d1", comp), (1, "e1", had), (3, "t2", comp)]
     inputs = [basis_state(3, "101"), random_state(3, 340)]
     nets = []
     for order in ([0, 1, 2], [2, 0, 1]):
         net = build_batch(TopologyKind.PARALLEL, 3, inputs)
-        net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("e1")])
+        net.local_apply(1, CX, ["d1", "e1"])
         for w in order:
-            label, basis = written[w]
-            q = net.qubit_index(label)
-            owner = next(p for p in net.parties if q in net.held_qubits(p))
-            net.local_measure(owner, q, basis, Unforced(w))
+            owner, label, basis = written[w]
+            net.local_measure(owner, label, basis, Unforced(w))
         nets.append(net)
     in_order, out_of_order = nets
     assert in_order.impossible.any()
@@ -192,11 +190,13 @@ def test_a_correction_after_an_unforced_run_reads_the_written_order_bit(family, 
         run_protocol(spec, net, list(branch))
         forced.append(net)
     x = pauli_x()
-    received = [(p, msg.tag) for p, party in batch.parties.items() for msg in party.inbox]
+    # every (recipient, tag) the spec delivers; apply_if reads each through
+    # read_cbit, so one the run did not deliver raises MissingMessage
+    received = [(r, op.qubit) for op in spec.ops if isinstance(op, Measure) for r in op.recipients]
     assert len(received) == verify.expected_costs(family, n)[1]
     for party, tag in received:
         for net in [batch, *forced]:
-            net.apply_if(party, x, [net.qubit_index(f"d{party}")], [tag])
+            net.apply_if(party, x, [f"d{party}"], [tag])
         rows = batch.register.reshape(len(branches), -1)
         for branch, row, net in zip(branches, rows, forced):
             np.testing.assert_allclose(
@@ -204,4 +204,4 @@ def test_a_correction_after_an_unforced_run_reads_the_written_order_bit(family, 
             )
         # X undoes itself, so every network is back as the run left it
         for net in [batch, *forced]:
-            net.apply_if(party, x, [net.qubit_index(f"d{party}")], [tag])
+            net.apply_if(party, x, [f"d{party}"], [tag])

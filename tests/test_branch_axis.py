@@ -105,9 +105,9 @@ def test_impossible_outcome_is_flagged_like_the_forced_run():
     state = basis_state(3, "000")
     net = build_batch(TopologyKind.SERIES, 3, [state])
     with pytest.raises(ImpossibleBranchError):
-        net.local_measure(1, net.qubit_index("d1"), MeasurementBasis.COMPUTATIONAL, 1)
+        net.local_measure(1, "d1", MeasurementBasis.COMPUTATIONAL, 1)
     batch = build_batch(TopologyKind.SERIES, 3, [state])
-    batch.local_measure(1, batch.qubit_index("d1"), MeasurementBasis.COMPUTATIONAL, Unforced(0))
+    batch.local_measure(1, "d1", MeasurementBasis.COMPUTATIONAL, Unforced(0))
     assert batch.impossible.tolist() == [False, True]
     np.testing.assert_allclose(batch.probabilities, [1.0, 0.0], atol=ATOL)
 
@@ -156,21 +156,21 @@ class TestBatchChecks:
     def test_apply_if_on_a_missing_tag_raises(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 1)])
         with pytest.raises(MissingMessage):
-            net.apply_if(3, pauli_x(), [net.qubit_index("t1")], ["e1"])
+            net.apply_if(3, pauli_x(), ["t1"], ["e1"])
 
     def test_apply_if_on_a_foreign_qubit_raises(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 1)])
-        net.local_measure(1, net.qubit_index("e1"), MeasurementBasis.COMPUTATIONAL, Unforced(0))
+        net.local_measure(1, "e1", MeasurementBasis.COMPUTATIONAL, Unforced(0))
         net.send_cbit(1, 3, Unforced(0), "e1")
         with pytest.raises(LocalityViolation):
-            net.apply_if(3, pauli_x(), [net.qubit_index("d1")], ["e1"])
+            net.apply_if(3, pauli_x(), ["d1"], ["e1"])
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_an_unforced_index_is_fresh_and_written(self, index):
         # written index 2 is already measured; the refusal leaves the register be
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 2)])
         comp = MeasurementBasis.COMPUTATIONAL
-        net.local_measure(1, net.qubit_index("e1"), comp, Unforced(2))
+        net.local_measure(1, "e1", comp, Unforced(2))
         e2 = net.qubit_index("e2")
         register, impossible = net.register.copy(), net.impossible
         with pytest.raises(ValueError):
@@ -181,7 +181,7 @@ class TestBatchChecks:
 
     def test_only_a_measured_unforced_outcome_is_sent(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 2)])
-        net.local_measure(1, net.qubit_index("e1"), MeasurementBasis.COMPUTATIONAL, Unforced(3))
+        net.local_measure(1, "e1", MeasurementBasis.COMPUTATIONAL, Unforced(3))
         for index in (0, 2, 4):
             with pytest.raises(ValueError):
                 net.send_cbit(1, 3, Unforced(index), "e1")

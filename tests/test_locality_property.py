@@ -1,5 +1,7 @@
 """Property test: a local gate, plain or conditional, is refused exactly when
-the party does not hold the qubit, whatever the bits it is conditioned on."""
+the party does not hold the qubit label it names, whatever the bits it is
+conditioned on.  A measured label and a name that was never a label are held
+by no party."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from telegate import (
     topology_for,
 )
 from telegate.network import Unforced, build_batch
-from reference_states import with_all_pairs
+from reference_states import paper_layout
 
 
 def _owner(label: str, n: int) -> int:
@@ -29,7 +31,8 @@ def _cases(draw):
     family = draw(st.sampled_from(list(ProtocolFamily)))
     n = draw(st.integers(2, 4))
     party = draw(st.integers(1, n + 1))  # n + 1 is no party
-    index = draw(st.integers(-2, 3 * n))
+    # every label the network ever has, and one no network has
+    label = draw(st.sampled_from(paper_layout(topology_for(family), n) + ["q0"]))
     spec = ProtocolSpec(family, n, hadamard())
     schedule = measurement_schedule(spec)
     prefix = schedule[: draw(st.integers(0, len(schedule)))]
@@ -39,22 +42,22 @@ def _cases(draw):
         outcomes = draw(st.lists(st.integers(0, 1), min_size=len(prefix), max_size=len(prefix)))
     # None: a plain gate; otherwise the bits a correction is conditioned on
     bits = draw(st.none() | st.lists(st.sampled_from([0, 1, *outcomes]), min_size=1, max_size=3))
-    return spec, party, index, list(zip(prefix, outcomes)), bits
+    return spec, party, label, list(zip(prefix, outcomes)), bits
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cases())
-def test_gate_refused_iff_index_is_foreign(case):
-    spec, party, index, measured, bits = case
+def test_gate_refused_iff_label_is_not_held(case):
+    spec, party, label, measured, bits = case
     n = spec.n
     kind = topology_for(spec.family)
     unforced = any(isinstance(outcome, Unforced) for _, outcome in measured)
     inputs = [random_state(n, 0), random_state(n, 1)] if unforced else [random_state(n, 0)]
-    net = with_all_pairs(build_batch(kind, n, inputs))
-    live = [net.label_at(i) for i in range(3 * n - 2)]
-    for (who, label, basis), outcome in measured:
-        net.local_measure(who, net.qubit_index(label), basis, outcome)
-        live.remove(label)
+    net = build_batch(kind, n, inputs)
+    gone = set()
+    for (who, measured_label, basis), outcome in measured:
+        net.local_measure(who, measured_label, basis, outcome)
+        gone.add(measured_label)
     tags = []
     if bits is not None and party <= n:
         sender = 1 if party != 1 else 2
@@ -62,12 +65,12 @@ def test_gate_refused_iff_index_is_foreign(case):
             net.send_cbit(sender, party, bit, f"m{k}")
             tags.append(f"m{k}")
 
-    foreign = not 0 <= index < len(live) or _owner(live[index], n) != party
+    foreign = label == "q0" or label in gone or _owner(label, n) != party
     try:
         if bits is None:
-            net.local_apply(party, pauli_x(), [index])
+            net.local_apply(party, pauli_x(), [label])
         else:
-            net.apply_if(party, pauli_x(), [index], tags)
+            net.apply_if(party, pauli_x(), [label], tags)
     except LocalityViolation:
         assert foreign
     else:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from telegate import (
-    CostLedger,
     Gate,
     ImpossibleBranchError,
     LocalityViolation,
@@ -23,7 +22,7 @@ from telegate import (
     random_state,
     random_unitary,
 )
-from telegate.network import BellEdge, Party, Topology, Unforced, _apply, build_batch
+from telegate.network import Unforced, _apply, build_batch
 from telegate.statevector import _apply_matrix
 from conftest import (
     computational_projector_probability,
@@ -40,6 +39,7 @@ from reference_states import (
 
 COMP = MeasurementBasis.COMPUTATIONAL
 HAD = MeasurementBasis.HADAMARD
+X = pauli_x()
 CX = controlled(pauli_x())
 KINDS = [TopologyKind.PARALLEL, TopologyKind.SERIES]
 
@@ -48,13 +48,17 @@ MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-def _owner(net, q):
-    (party,) = [p for p in net.parties if q in net.held_qubits(p)]
+def _parties(net):
+    return range(1, net.n + 1)
+
+
+def _owner(net, label):
+    (party,) = [p for p in _parties(net) if label in net.held_qubits(p)]
     return party
 
 
-def _held_labels(net, party_id):
-    return {net.label_at(i) for i in net.held_qubits(party_id)}
+def _live(net):
+    return [net.label_at(i) for i in range(net.register.shape[1].bit_length() - 1)]
 
 
 class TestBuildNetwork:
@@ -96,22 +100,22 @@ class TestBuildNetwork:
 
     def test_series_ownership_blocks(self):
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 3)]))
-        assert _held_labels(net, 1) == {"d1", "f1"}
-        assert _held_labels(net, 2) == {"r2", "d2", "f2"}
-        assert _held_labels(net, 3) == {"r3", "d3"}
+        assert net.held_qubits(1) == {"d1", "f1"}
+        assert net.held_qubits(2) == {"r2", "d2", "f2"}
+        assert net.held_qubits(3) == {"r3", "d3"}
         assert [net.label_at(i) for i in range(7)] == ["d1", "d2", "d3", "f1", "r2", "f2", "r3"]
 
     def test_parallel_ownership_blocks(self):
         net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 3)]))
-        assert _held_labels(net, 1) == {"d1", "e1"}
-        assert _held_labels(net, 2) == {"d2", "e2"}
-        assert _held_labels(net, 3) == {"t1", "t2", "d3"}
+        assert net.held_qubits(1) == {"d1", "e1"}
+        assert net.held_qubits(2) == {"d2", "e2"}
+        assert net.held_qubits(3) == {"t1", "t2", "d3"}
 
     def test_ownership_is_a_partition(self):
         net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 4, [random_state(4, 4)]))
-        held = [net.held_qubits(p) for p in net.parties]
+        held = [net.held_qubits(p) for p in _parties(net)]
         union = set().union(*held)
-        assert union == set(range(10))
+        assert union == set(_live(net)) and len(union) == 10
         assert sum(len(h) for h in held) == len(union)
 
     def test_rejects_single_party(self):
@@ -128,35 +132,35 @@ class TestLocalOperations:
         net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)]))
         before = net.register.copy()
         targets = [net.qubit_index("d1"), net.qubit_index("e1")]
-        net.local_apply(1, CX, targets)
+        net.local_apply(1, CX, ["d1", "e1"])
         expected = _apply_matrix(before, 7, CX.matrix, targets)
         np.testing.assert_allclose(net.register, expected, rtol=0, atol=1e-12)
 
     def test_relay_party_controls_both_halves(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
-        net.local_apply(2, CX, [net.qubit_index("r2"), net.qubit_index("f2")])
-        net.local_apply(2, CX, [net.qubit_index("d2"), net.qubit_index("f2")])
+        net.local_apply(2, CX, ["r2", "f2"])
+        net.local_apply(2, CX, ["d2", "f2"])
 
     def test_gate_on_foreign_qubit_aborts(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
         with pytest.raises(LocalityViolation):
-            net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("d3")])
+            net.local_apply(1, CX, ["d1", "d3"])
 
     def test_measuring_foreign_qubit_aborts(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
         with pytest.raises(LocalityViolation):
-            net.local_measure(2, net.qubit_index("d3"), COMP, 0)
+            net.local_measure(2, "d3", COMP, 0)
 
     def test_measurement_discards_and_reindexes(self):
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 6)]))
         assert net.qubit_index("r2") == 4
-        net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
-        net.local_measure(1, net.qubit_index("f1"), COMP, 0)
+        net.local_apply(1, CX, ["d1", "f1"])
+        net.local_measure(1, "f1", COMP, 0)
         assert net.state.num_qubits == 6
-        assert _held_labels(net, 1) == {"d1"}
+        assert net.held_qubits(1) == {"d1"}
         assert net.qubit_index("r2") == 3
-        held = [net.held_qubits(p) for p in net.parties]
-        assert set().union(*held) == set(range(6))
+        held = [net.held_qubits(p) for p in _parties(net)]
+        assert set().union(*held) == set(_live(net)) and len(_live(net)) == 6
 
     def test_forced_bell_half_outcomes_are_fair_coins(self):
         d = random_coefficients(7)
@@ -169,9 +173,9 @@ class TestLocalOperations:
         for outcome in (0, 1):
             assert abs(hadamard_projector_probability(state, q6, outcome) - 0.5) < 1e-10
         fresh = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
-        assert abs(fresh.local_measure(1, q, COMP, 0) - 0.5) < 1e-10
+        assert abs(fresh.local_measure(1, "f1", COMP, 0) - 0.5) < 1e-10
         fresh = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
-        assert abs(fresh.local_measure(3, q6, HAD, 1) - 0.5) < 1e-10
+        assert abs(fresh.local_measure(3, "r3", HAD, 1) - 0.5) < 1e-10
 
 
 class TestCorrections:
@@ -182,16 +186,17 @@ class TestCorrections:
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
         net.send_cbit(1, 3, bit, "e1")
         before = net.register.copy()
-        for index in (net.qubit_index("d1"), 99, -1):
+        # d1 is party 1's; q9 was never a label; an index is not a label
+        for label in ("d1", "q9", 0):
             with pytest.raises(LocalityViolation):
-                net.apply_if(3, pauli_x(), [index], ["e1"])
+                net.apply_if(3, pauli_x(), [label], ["e1"])
         np.testing.assert_array_equal(net.register, before)
 
     def test_unknown_party_is_refused(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
         net.send_cbit(1, 3, 0, "e1")
         with pytest.raises(LocalityViolation):
-            net.apply_if(99, pauli_x(), [net.qubit_index("t1")], ["e1"])
+            net.apply_if(99, pauli_x(), ["t1"], ["e1"])
         with pytest.raises(ValueError, match="unknown party 99"):
             net.read_cbit(99, "e1")
 
@@ -201,7 +206,7 @@ class TestCorrections:
         net.send_cbit(1, 3, bit, "e1")
         before = net.register.copy()
         t1 = net.qubit_index("t1")
-        net.apply_if(3, pauli_x(), [t1], ["e1"])
+        net.apply_if(3, pauli_x(), ["t1"], ["e1"])
         flipped = _apply_matrix(before, 7, pauli_x().matrix, [t1])
         np.testing.assert_array_equal(net.register, flipped if fires else before)
 
@@ -221,7 +226,7 @@ class TestMeasurementBoundary:
             before = net.register.copy()
             for outcome in (0, Unforced(0)):
                 with pytest.raises(ValueError, match="MeasurementBasis"):
-                    net.local_measure(1, net.qubit_index("f1"), basis, outcome)
+                    net.local_measure(1, "f1", basis, outcome)
             np.testing.assert_array_equal(net.register, before)
             assert net.label_at(3) == "f1"
 
@@ -230,14 +235,14 @@ class TestMeasurementBoundary:
         for net in self._networks():
             before = net.register.copy()
             with pytest.raises(ValueError, match="integer 0 or 1") as raised:
-                net.local_measure(1, net.qubit_index("f1"), COMP, outcome)
+                net.local_measure(1, "f1", COMP, outcome)
             assert repr(outcome) in str(raised.value)
             np.testing.assert_array_equal(net.register, before)
             assert net.label_at(3) == "f1"
 
     def test_numpy_integer_outcomes_are_bits(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 8)])
-        assert abs(net.local_measure(1, net.qubit_index("f1"), COMP, np.int64(1)) - 0.5) < 1e-10
+        assert abs(net.local_measure(1, "f1", COMP, np.int64(1)) - 0.5) < 1e-10
 
 
 class TestBornRule:
@@ -257,8 +262,8 @@ class TestBornRule:
                     probabilities = []
                     for outcome in (0, 1):
                         net = with_all_pairs(build_batch(kind, n, [psi]))
-                        (party,) = [p for p in net.parties if q in net.held_qubits(p)]
-                        prob = net.local_measure(party, q, basis, outcome)
+                        label = net.label_at(q)
+                        prob = net.local_measure(_owner(net, label), label, basis, outcome)
                         assert abs(prob - born(register, q, outcome)) < 1e-12
                         np.testing.assert_allclose(
                             net.state.amplitudes,
@@ -276,7 +281,7 @@ class TestForcedMeasurement:
     def test_bell_half_computational_zero(self):
         # series n=2 on |00>: d1 d2 f1 r2 = |0> |0> (|00> + |11>)/sqrt(2)
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
-        prob = net.local_measure(1, net.qubit_index("f1"), COMP, 0)
+        prob = net.local_measure(1, "f1", COMP, 0)
         assert abs(prob - 0.5) < 1e-12
         np.testing.assert_allclose(
             net.state.amplitudes, basis_state(3, "000").amplitudes, atol=1e-12
@@ -284,7 +289,7 @@ class TestForcedMeasurement:
 
     def test_bell_half_hadamard_minus_leaves_partner_in_minus(self):
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
-        prob = net.local_measure(1, net.qubit_index("f1"), HAD, 1)
+        prob = net.local_measure(1, "f1", HAD, 1)
         assert abs(prob - 0.5) < 1e-12
         # d1 d2 r2
         np.testing.assert_allclose(
@@ -294,7 +299,7 @@ class TestForcedMeasurement:
     def test_plus_in_hadamard_basis_is_certain(self):
         plus_zero = StateVector(2, np.array([1, 0, 1, 0]) / np.sqrt(2))
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [plus_zero]))
-        prob = net.local_measure(1, net.qubit_index("d1"), HAD, 0)
+        prob = net.local_measure(1, "d1", HAD, 0)
         assert abs(prob - 1.0) < 1e-12
         # d2 f1 r2
         np.testing.assert_allclose(net.state.amplitudes, np.kron(ZERO, BELL), atol=1e-12)
@@ -303,7 +308,7 @@ class TestForcedMeasurement:
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         before = net.register.copy()
         with pytest.raises(ImpossibleBranchError):
-            net.local_measure(1, net.qubit_index("d1"), COMP, 1)
+            net.local_measure(1, "d1", COMP, 1)
         np.testing.assert_array_equal(net.register, before)
         assert net.label_at(0) == "d1" and not net.impossible.any()
 
@@ -314,8 +319,8 @@ class TestForcedMeasurement:
             psi = random_state(2, rng)
             for outcome in (0, 1):
                 net = build_batch(TopologyKind.SERIES, 2, [psi])
-                net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
-                prob = net.local_measure(1, net.qubit_index("f1"), COMP, outcome)
+                net.local_apply(1, CX, ["d1", "f1"])
+                prob = net.local_measure(1, "f1", COMP, outcome)
                 assert abs(prob - 0.5) < 1e-10
 
 
@@ -328,7 +333,8 @@ class TestBatchedMeasurement:
         for kind in KINDS:
             for q in range(7):
                 net = with_all_pairs(build_batch(kind, 3, inputs))
-                net.local_measure(_owner(net, q), q, basis, Unforced(0))
+                label = net.label_at(q)
+                net.local_measure(_owner(net, label), label, basis, Unforced(0))
                 probabilities = net.probabilities
                 assert probabilities.shape == (6,)
                 assert net.register.shape == (6, 1 << 6)
@@ -343,11 +349,12 @@ class TestBatchedMeasurement:
         for q in range(7):
             for basis in (COMP, HAD):
                 batch = with_all_pairs(build_batch(kind, 3, inputs))
-                batch.local_measure(_owner(batch, q), q, basis, Unforced(0))
+                label = batch.label_at(q)
+                batch.local_measure(_owner(batch, label), label, basis, Unforced(0))
                 for i, psi in enumerate(inputs):
                     for outcome in (0, 1):
                         net = with_all_pairs(build_batch(kind, 3, [psi]))
-                        prob = net.local_measure(_owner(net, q), q, basis, outcome)
+                        prob = net.local_measure(_owner(net, label), label, basis, outcome)
                         row = 2 * i + outcome
                         assert abs(batch.probabilities[row] - prob) < 1e-12
                         np.testing.assert_allclose(
@@ -377,9 +384,8 @@ class TestForcedRows:
             split = with_all_pairs(build_batch(kind, 3, inputs))
             for k, (q, basis) in enumerate(((1, HAD), (4, COMP))):
                 label = batch.label_at(q)
-                assert batch.local_measure(_owner(batch, q), q, basis, 1) is None
-                q = split.qubit_index(label)
-                split.local_measure(_owner(split, q), q, basis, Unforced(k))
+                assert batch.local_measure(_owner(batch, label), label, basis, 1) is None
+                split.local_measure(_owner(split, label), label, basis, Unforced(k))
             kept = split.register.reshape(3, 2, 2, -1)[:, 1, 1]
             np.testing.assert_allclose(batch.register, kept, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
@@ -389,17 +395,17 @@ class TestForcedRows:
 
     def test_an_outcome_some_rows_cannot_take_is_flagged(self):
         batch = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00"), basis_state(2, "10")])
-        batch.local_measure(1, batch.qubit_index("d1"), COMP, 1)
+        batch.local_measure(1, "d1", COMP, 1)
         assert batch.impossible.tolist() == [True, False]
         np.testing.assert_allclose(batch.probabilities, [0.0, 1.0], atol=1e-12)
-        batch.local_measure(1, batch.qubit_index("f1"), COMP, Unforced(0))
+        batch.local_measure(1, "f1", COMP, Unforced(0))
         assert batch.impossible.tolist() == [True, True, False, False]
 
     def test_an_outcome_no_row_can_take_raises_and_leaves_the_register(self):
         batch = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00"), basis_state(2, "01")])
         before = batch.register.copy()
         with pytest.raises(ImpossibleBranchError):
-            batch.local_measure(1, batch.qubit_index("d1"), COMP, 1)
+            batch.local_measure(1, "d1", COMP, 1)
         np.testing.assert_array_equal(batch.register, before)
         assert batch.label_at(0) == "d1" and not batch.impossible.any()
 
@@ -408,27 +414,18 @@ class TestForcedRows:
         inputs = [random_state(2, rng) for _ in range(3)]
         register = np.asfortranarray(np.stack([psi.amplitudes for psi in inputs]))
         assert not register.flags.c_contiguous
-        edges = (BellEdge(1, "f1", 2, "r2"),)
-        net = Network(
-            2,
-            register,
-            ["d1", "d2"],
-            {"d1": 1, "d2": 2, "f1": 1, "r2": 2},
-            {1: Party(1), 2: Party(2)},
-            Topology(TopologyKind.SERIES, 2, edges),
-            CostLedger(ebits=1),
-        )
+        net = Network(TopologyKind.SERIES, 2, register)
         batch = build_batch(TopologyKind.SERIES, 2, inputs)
         for network in (net, batch):
             np.testing.assert_allclose(network.probabilities, 1.0, rtol=0, atol=1e-12)
-            network.local_apply(1, CX, [network.qubit_index("d1"), network.qubit_index("f1")])
-            network.local_measure(1, network.qubit_index("d1"), HAD, outcome)
+            network.local_apply(1, CX, ["d1", "f1"])
+            network.local_measure(1, "d1", HAD, outcome)
         np.testing.assert_array_equal(net.register, batch.register)
         np.testing.assert_array_equal(net.probabilities, batch.probabilities)
 
     def test_the_state_is_the_normalized_row(self):
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
-        net.local_measure(1, net.qubit_index("f1"), HAD, 1)
+        net.local_measure(1, "f1", HAD, 1)
         assert abs(net.probabilities[0] - 0.5) < 1e-12
         # d1 d2 r2
         np.testing.assert_allclose(
@@ -442,7 +439,7 @@ class TestDiscard:
     def test_certain_outcome_leaves_the_rest_unchanged(self):
         # series n=2 on |01>: measuring d2 gives 1 with certainty, leaving d1 f1 r2
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [basis_state(2, "01")]))
-        prob = net.local_measure(2, net.qubit_index("d2"), COMP, 1)
+        prob = net.local_measure(2, "d2", COMP, 1)
         assert abs(prob - 1.0) < 1e-12
         np.testing.assert_allclose(net.state.amplitudes, np.kron(ZERO, BELL), atol=1e-12)
 
@@ -452,7 +449,7 @@ class TestDiscard:
         for q in range(10):
             net = with_all_pairs(build_batch(kind, 4, [psi]))
             before = [net.label_at(i) for i in range(10)]
-            net.local_measure(_owner(net, q), q, COMP, 0)
+            net.local_measure(_owner(net, before[q]), before[q], COMP, 0)
             after = [net.label_at(i) for i in range(9)]
             assert after == before[:q] + before[q + 1:]
             for i, label in enumerate(after):
@@ -474,12 +471,13 @@ class TestDiscard:
                 )
                 # the likelier outcome: a Bell partner's outcome can be certain
                 outcome = 0 if born(net.state, q, 0) >= 0.5 else 1
-                net.local_measure(_owner(net, q), q, basis, outcome)
+                label = net.label_at(q)
+                net.local_measure(_owner(net, label), label, basis, outcome)
                 state = net.state
                 assert state.num_qubits == size - 1
                 assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
-                held = [net.held_qubits(p) for p in net.parties]
-                assert set().union(*held) == set(range(size - 1))
+                held = [net.held_qubits(p) for p in _parties(net)]
+                assert set().union(*held) == set(_live(net))
                 assert sum(len(h) for h in held) == size - 1
 
     def test_measurements_by_different_parties_commute(self, rng):
@@ -488,9 +486,9 @@ class TestDiscard:
             psi = random_state(3, rng)
             net = with_all_pairs(build_batch(kind, 3, [psi]))
             a, b = rng.choice(7, size=2, replace=False)
-            if _owner(net, a) == _owner(net, b):
-                continue
             label_a, label_b = net.label_at(a), net.label_at(b)
+            if _owner(net, label_a) == _owner(net, label_b):
+                continue
             basis_a = COMP if rng.integers(2) == 0 else HAD
             basis_b = COMP if rng.integers(2) == 0 else HAD
             results = []
@@ -501,8 +499,7 @@ class TestDiscard:
                 net = with_all_pairs(build_batch(kind, 3, [psi]))
                 joint = 1.0
                 for label, basis in order:
-                    q = net.qubit_index(label)
-                    joint *= net.local_measure(_owner(net, q), q, basis, 0)
+                    joint *= net.local_measure(_owner(net, label), label, basis, 0)
                 results.append((joint, net.state.amplitudes))
             (p_ab, state_ab), (p_ba, state_ba) = results
             assert abs(p_ab - p_ba) < 1e-12
@@ -549,12 +546,35 @@ class TestClassicalBus:
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         with pytest.raises(ValueError, match="integer 0 or 1"):
             net.send_cbit(1, 2, bit, "m")
-        assert net.ledger.cbits == 0 and net.parties[2].inbox == []
+        assert net.ledger.cbits == 0
+        with pytest.raises(MissingMessage):
+            net.read_cbit(2, "m")
 
     def test_numpy_integer_bits_are_bits(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
         net.send_cbit(1, 2, np.int64(1), "m")
         assert net.read_cbit(2, "m") == 1 and net.ledger.cbits == 1
+
+    def test_a_repeated_tag_reads_the_first_bit_and_costs_both(self):
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net.send_cbit(1, 3, 0, "m")
+        net.send_cbit(2, 3, 1, "m")
+        assert net.read_cbit(3, "m") == 0
+        assert net.ledger.cbits == 2
+
+    @pytest.mark.parametrize(
+        "sender, recipient, bit",
+        [(1, 3, 2), (1, 9, 0), (9, 3, 0), (3, 3, 0), (1, 3, Unforced(0))],
+        ids=["bad-bit", "unknown-recipient", "unknown-sender", "self-send", "unmeasured"],
+    )
+    def test_a_refused_send_delivers_nothing_and_costs_nothing(self, sender, recipient, bit):
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        with pytest.raises(ValueError):
+            net.send_cbit(sender, recipient, bit, "m")
+        assert net.ledger.cbits == 0
+        for party in _parties(net):
+            with pytest.raises(MissingMessage):
+                net.read_cbit(party, "m")
 
     def test_cbits_monotone_and_ebits_frozen(self):
         net = build_batch(TopologyKind.SERIES, 4, [random_state(4, 10)])
@@ -566,6 +586,67 @@ class TestClassicalBus:
         assert seen == sorted(seen)
 
 
+# Operations on a series n=2 network that must be refused, each with the
+# error it raises; "f1" (party 1) and "r2" (party 2) are a Bell pair's halves.
+REFUSED = [
+    pytest.param(lambda net: net.local_apply(1, X, ["r2"]), LocalityViolation, id="foreign-half"),
+    pytest.param(
+        lambda net: net.local_apply(1, CX, ["d1", "d2"]), LocalityViolation, id="foreign"
+    ),
+    pytest.param(lambda net: net.local_apply(1, CX, ["f1"]), ValueError, id="arity"),
+    pytest.param(lambda net: net.local_apply(1, CX, ["f1", "f1"]), ValueError, id="duplicate"),
+    pytest.param(lambda net: net.local_apply(1, X, ["q9"]), LocalityViolation, id="no-label"),
+    pytest.param(
+        lambda net: net.apply_if(1, X, ["r2"], ["r2"]), LocalityViolation, id="if-foreign"
+    ),
+    pytest.param(lambda net: net.apply_if(2, X, ["r2"], ["f1"]), MissingMessage, id="if-missing"),
+    pytest.param(
+        lambda net: net.local_measure(2, "f1", COMP, 0), LocalityViolation, id="m-foreign"
+    ),
+    pytest.param(
+        lambda net: net.local_measure(1, "q9", HAD, 0), LocalityViolation, id="m-no-label"
+    ),
+    pytest.param(lambda net: net.local_measure(1, "f1", COMP, 2), ValueError, id="m-bad-outcome"),
+]
+
+
+class TestRefusals:
+    """A refused operation changes nothing: not the register, not the live
+    labels and not the ledger, even when it names a Bell half not yet in use."""
+
+    @pytest.mark.parametrize("op, error", REFUSED)
+    def test_a_refused_operation_leaves_the_network(self, op, error):
+        for net in (
+            build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)]),
+            with_all_pairs(build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])),
+        ):
+            net.send_cbit(2, 1, 1, "r2")
+            before = (net.register.copy(), _live(net), net.ledger.copy())
+            with pytest.raises(error):
+                op(net)
+            np.testing.assert_array_equal(net.register, before[0])
+            assert _live(net) == before[1]
+            assert net.ledger == before[2]
+
+    def test_a_pending_half_held_by_another_party_is_refused_before_it_joins(self):
+        net = build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])
+        with pytest.raises(LocalityViolation):
+            net.local_apply(1, pauli_x(), ["r2"])
+        assert net.register.shape == (1, 4) and _live(net) == ["d1", "d2"]
+
+    def test_a_measured_label_is_held_by_no_party(self):
+        net = build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])
+        net.local_measure(1, "f1", COMP, 0)
+        before = net.register.copy()
+        for party in _parties(net):
+            with pytest.raises(LocalityViolation):
+                net.local_apply(party, pauli_x(), ["f1"])
+            with pytest.raises(LocalityViolation):
+                net.local_measure(party, "f1", COMP, 0)
+        np.testing.assert_array_equal(net.register, before)
+        assert "f1" not in net.held_qubits(1)
+
+
 class TestIndependentNetworks:
     def test_networks_from_one_input_share_no_state(self):
         psi = random_state(3, 11)
@@ -573,14 +654,15 @@ class TestIndependentNetworks:
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [psi]))
         register = net.register.copy()
         other = build_batch(TopologyKind.SERIES, 3, [psi])
-        other.local_apply(1, CX, [other.qubit_index("d1"), other.qubit_index("f1")])
-        other.local_measure(1, other.qubit_index("f1"), COMP, 0)
+        other.local_apply(1, CX, ["d1", "f1"])
+        other.local_measure(1, "f1", COMP, 0)
         other.send_cbit(1, 2, 0, "f1")
         assert net.state.num_qubits == 7
         assert net.ledger.cbits == 0
         np.testing.assert_array_equal(net.register, register)
-        assert net.parties[2].inbox == []
-        assert _held_labels(net, 1) == {"d1", "f1"}
+        with pytest.raises(MissingMessage):
+            net.read_cbit(2, "f1")
+        assert net.held_qubits(1) == {"d1", "f1"}
         np.testing.assert_array_equal(psi.amplitudes, before)
 
     def test_register_view_is_read_only(self):

@@ -7,6 +7,7 @@ import pytest
 
 from telegate import (
     InvolutionRequired,
+    LocalityViolation,
     MeasurementBasis,
     ProtocolFamily,
     ProtocolSpec,
@@ -28,8 +29,10 @@ from telegate import (
     random_unitary,
     run_protocol,
     topology_for,
+    verify_inputs,
 )
 from telegate.cli import record_trace
+from telegate.protocols import LocalGate, Measure, _interpret
 from telegate.gates import Gate
 from conftest import single_qubit_purity
 from reference_states import (
@@ -134,8 +137,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="'ones' is not unitary"):
             ProtocolSpec(PARALLEL, 3, Gate(1, np.ones((2, 2)), "ones"))
 
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, "3", None])
+    def test_rejects_a_party_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ProtocolSpec(PARALLEL, n, hadamard())
+
+    def test_rejects_a_family_that_is_not_a_protocol_family(self):
+        with pytest.raises(ValueError, match="family must be a ProtocolFamily"):
+            ProtocolSpec("parallel-cu", 3, hadamard())
+
+    def test_a_numpy_integer_party_count_is_valid(self):
+        spec = ProtocolSpec(PARALLEL, np.int64(3), hadamard())
+        assert verify_inputs(spec, [random_state(3, 6)]).passed
+
     def test_checks_run_in_order(self):
-        # the party count and the register limit come before the payload
+        # the family and the type of n come first, then the party count and
+        # the register limit, then the payload
+        with pytest.raises(ValueError, match="family must be"):
+            ProtocolSpec("parallel-cu", 2.5, CX)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ProtocolSpec(PARALLEL, 2.5, CX)
         with pytest.raises(ValueError, match="need at least 2 parties"):
             ProtocolSpec(PARALLEL, 1, CX)
         with pytest.raises(ValueError, match="limit is 22 qubits"):
@@ -187,18 +208,18 @@ def _stage_state(net):
 def _drive_parallel_to_target_ops(d, payload, m_a, m_b):
     net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
     cu = controlled(payload)
-    net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("e1")])
-    net.local_apply(2, CX, [net.qubit_index("d2"), net.qubit_index("e2")])
-    net.local_measure(1, net.qubit_index("e1"), COMP, m_a)
+    net.local_apply(1, CX, ["d1", "e1"])
+    net.local_apply(2, CX, ["d2", "e2"])
+    net.local_measure(1, "e1", COMP, m_a)
     net.send_cbit(1, 3, m_a, "e1")
-    net.local_measure(2, net.qubit_index("e2"), COMP, m_b)
+    net.local_measure(2, "e2", COMP, m_b)
     net.send_cbit(2, 3, m_b, "e2")
     if net.read_cbit(3, "e1"):
-        net.local_apply(3, X, [net.qubit_index("t1")])
+        net.local_apply(3, X, ["t1"])
     if net.read_cbit(3, "e2"):
-        net.local_apply(3, X, [net.qubit_index("t2")])
-    net.local_apply(3, cu, [net.qubit_index("t1"), net.qubit_index("d3")])
-    net.local_apply(3, cu, [net.qubit_index("t2"), net.qubit_index("d3")])
+        net.local_apply(3, X, ["t2"])
+    net.local_apply(3, cu, ["t1", "d3"])
+    net.local_apply(3, cu, ["t2", "d3"])
     return net
 
 
@@ -269,11 +290,11 @@ class TestParallelProtocol:
 
 def _drive_series_forward(d, m2):
     net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
-    net.local_apply(1, CX, [net.qubit_index("d1"), net.qubit_index("f1")])
-    net.local_measure(1, net.qubit_index("f1"), COMP, m2)
+    net.local_apply(1, CX, ["d1", "f1"])
+    net.local_measure(1, "f1", COMP, m2)
     net.send_cbit(1, 2, m2, "f1")
     if net.read_cbit(2, "f1"):
-        net.local_apply(2, X, [net.qubit_index("r2")])
+        net.local_apply(2, X, ["r2"])
     return net
 
 
@@ -283,8 +304,8 @@ class TestSeriesSimultaneousCH:
         expected = series_ch_relay_state(d)
         for m2 in (0, 1):
             net = _drive_series_forward(d, m2)
-            net.local_apply(2, CX, [net.qubit_index("r2"), net.qubit_index("f2")])
-            net.local_apply(2, CX, [net.qubit_index("d2"), net.qubit_index("f2")])
+            net.local_apply(2, CX, ["r2", "f2"])
+            net.local_apply(2, CX, ["d2", "f2"])
             np.testing.assert_allclose(
                 _stage_state(net), expected.amplitudes, atol=1e-10
             )
@@ -295,14 +316,14 @@ class TestSeriesSimultaneousCH:
         expected = series_ch_after_target(d, payload.matrix)
         for m2, m5 in itertools.product((0, 1), repeat=2):
             net = _drive_series_forward(d, m2)
-            net.local_apply(2, CX, [net.qubit_index("r2"), net.qubit_index("f2")])
-            net.local_apply(2, CX, [net.qubit_index("d2"), net.qubit_index("f2")])
-            net.local_measure(2, net.qubit_index("f2"), COMP, m5)
+            net.local_apply(2, CX, ["r2", "f2"])
+            net.local_apply(2, CX, ["d2", "f2"])
+            net.local_measure(2, "f2", COMP, m5)
             net.send_cbit(2, 3, m5, "f2")
             if net.read_cbit(3, "f2"):
-                net.local_apply(3, X, [net.qubit_index("r3")])
+                net.local_apply(3, X, ["r3"])
             net.local_apply(
-                3, controlled(payload), [net.qubit_index("r3"), net.qubit_index("d3")]
+                3, controlled(payload), ["r3", "d3"]
             )
             np.testing.assert_allclose(
                 _stage_state(net), expected.amplitudes, atol=1e-10
@@ -382,7 +403,7 @@ class TestSeriesNControlledU:
             net.local_apply(
                 2,
                 controlled(pauli_x(), 2),
-                [net.qubit_index("r2"), net.qubit_index("d2"), net.qubit_index("f2")],
+                ["r2", "d2", "f2"],
             )
             np.testing.assert_allclose(
                 _stage_state(net), expected.amplitudes, atol=1e-10
@@ -397,14 +418,14 @@ class TestSeriesNControlledU:
             net.local_apply(
                 2,
                 controlled(pauli_x(), 2),
-                [net.qubit_index("r2"), net.qubit_index("d2"), net.qubit_index("f2")],
+                ["r2", "d2", "f2"],
             )
-            net.local_measure(2, net.qubit_index("f2"), COMP, m5)
+            net.local_measure(2, "f2", COMP, m5)
             net.send_cbit(2, 3, m5, "f2")
             if net.read_cbit(3, "f2"):
-                net.local_apply(3, X, [net.qubit_index("r3")])
+                net.local_apply(3, X, ["r3"])
             net.local_apply(
-                3, controlled(payload), [net.qubit_index("r3"), net.qubit_index("d3")]
+                3, controlled(payload), ["r3", "d3"]
             )
             np.testing.assert_allclose(
                 _stage_state(net), expected.amplitudes, atol=1e-10
@@ -420,20 +441,20 @@ class TestSeriesNControlledU:
             net.local_apply(
                 2,
                 controlled(pauli_x(), 2),
-                [net.qubit_index("r2"), net.qubit_index("d2"), net.qubit_index("f2")],
+                ["r2", "d2", "f2"],
             )
-            net.local_measure(2, net.qubit_index("f2"), COMP, m5)
+            net.local_measure(2, "f2", COMP, m5)
             net.send_cbit(2, 3, m5, "f2")
             if net.read_cbit(3, "f2"):
-                net.local_apply(3, X, [net.qubit_index("r3")])
+                net.local_apply(3, X, ["r3"])
             net.local_apply(
-                3, controlled(payload), [net.qubit_index("r3"), net.qubit_index("d3")]
+                3, controlled(payload), ["r3", "d3"]
             )
-            net.local_measure(3, net.qubit_index("r3"), HAD, h6)
+            net.local_measure(3, "r3", HAD, h6)
             net.send_cbit(3, 2, h6, "r3")
             if net.read_cbit(2, "r3"):
                 net.local_apply(
-                    2, controlled(pauli_z()), [net.qubit_index("r2"), net.qubit_index("d2")]
+                    2, controlled(pauli_z()), ["r2", "d2"]
                 )
             np.testing.assert_allclose(
                 _stage_state(net), expected.amplitudes, atol=1e-10
@@ -591,6 +612,16 @@ class TestRunErrors:
             run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(72)), net, [bit, 0, 0, 0])
         np.testing.assert_array_equal(net.register, before)
         assert net.ledger.cbits == 0
+
+    @pytest.mark.parametrize(
+        "late", [Measure(1, "e1", COMP, (3,)), LocalGate(1, pauli_x(), ("e1",))]
+    )
+    def test_an_op_on_a_measured_label_is_a_locality_violation(self, late):
+        # a transcription bug that names e1 after party 1 has measured it
+        spec = ProtocolSpec(PARALLEL, 3, hadamard())
+        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 74)])
+        with pytest.raises(LocalityViolation, match="'e1'"):
+            _interpret([*spec.ops, late], net, [0] * 5)
 
     def test_non_unitary_payload_rejected(self):
         net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 73)])
