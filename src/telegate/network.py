@@ -383,9 +383,11 @@ class Network:
         """The register and live labels with each pending pair ``labels``
         names tensored in at the end, in the order first named."""
         amps, live, pending = self._amps, self._labels, self._pending
-        for edge in dict.fromkeys(pending[label] for label in labels if label in pending):
-            amps = (amps[:, :, None] * _BELL).reshape(amps.shape[0], -1)
-            live = live + [edge.label_a, edge.label_b]
+        for label in labels:
+            if label in pending and label not in live:
+                edge = pending[label]
+                amps = (amps[:, :, None] * _BELL).reshape(amps.shape[0], -1)
+                live = live + [edge.label_a, edge.label_b]
         return amps, live
 
     def _commit(self, amps: np.ndarray, live: list[str]) -> None:
