@@ -628,12 +628,6 @@ class TestRefusals:
             assert _live(net) == before[1]
             assert net.ledger == before[2]
 
-    def test_a_pending_half_held_by_another_party_is_refused_before_it_joins(self):
-        net = build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])
-        with pytest.raises(LocalityViolation):
-            net.local_apply(1, pauli_x(), ["r2"])
-        assert net.register.shape == (1, 4) and _live(net) == ["d1", "d2"]
-
     def test_a_measured_label_is_held_by_no_party(self):
         net = build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])
         net.local_measure(1, "f1", COMP, 0)
