@@ -9,10 +9,13 @@ model.  The register holds one row per input and branch: a measurement
 given a forced outcome keeps that half of every row, and one left
 :class:`Unforced` keeps both, so one run can hold every branch of many
 inputs.  An unforced outcome names its measurement's place in the
-protocol's written order, and its bit takes that place in the row index
-whatever order the measurements run in.  A network keeps no record of the
-operations run on it: :mod:`telegate.cli` renders a forced branch's events
-from the protocol's op list.
+protocol's written order.  Inside the network its bit becomes the least
+significant bit of the row index when it is taken; the register, the
+probabilities and the impossibility flags are shown with the bits in
+written order, whatever order the measurements ran in, reordered by one
+transpose only when the two orders differ.  A network keeps no record of
+the operations run on it: :mod:`telegate.cli` renders a forced branch's
+events from the protocol's op list.
 
 Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
 last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
@@ -35,12 +38,18 @@ discarded.  A label no party holds (a measured one, or a name that never
 was a label) is refused with :class:`LocalityViolation`, and a refused
 operation leaves the network unchanged.  With n parties (party n is the
 target), the register starts as the data qubits ``d1 ... dn`` in party
-order, and each Bell pair's two halves are appended at its end, ``label_a``
-then ``label_b``, when an operation first names either label: ``ei``
+order, and each Bell pair joins it at the front when an operation first
+names either of its labels: ``label_a`` becomes qubit 0 and ``label_b``
+qubit 1, and every live qubit moves up by two.  The pairs are ``ei``
 (control party i) and ``ti`` (the target) in the parallel topology, ``fi``
 (party i) and ``r{i+1}`` (party i+1) in the series one.  Until then a pair
 is counted in the ledger but holds no amplitudes, so early operations act
-on smaller arrays.  :meth:`Network.qubit_index` and :meth:`Network.label_at`
+on smaller arrays.  A protocol measures a pair's first half soon after the
+pair joins, while it is still qubit 0, and an unforced measurement of qubit
+0 splits every row into its two halves in place, with no copy of the
+register.  Data qubits keep their party order throughout, so once every
+half is measured the register is ``d1 ... dn`` again.
+:meth:`Network.qubit_index` and :meth:`Network.label_at`
 are layout queries (the first also joins a pending pair it names);
 :attr:`Network.state`, :attr:`Network.register`, :meth:`Network.label_at`
 and :meth:`Network.held_qubits` show live qubits only.
@@ -48,7 +57,6 @@ and :meth:`Network.held_qubits` show live qubits only.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,10 +121,6 @@ class CostLedger:
         return CostLedger(self.ebits, self.cbits)
 
 
-# The resource state (|00> + |11>)/sqrt(2).
-_BELL = (np.array([1, 0, 0, 1]) / math.sqrt(2)).astype(np.complex128)
-
-
 def register_qubits(n: int) -> int:
     """Register size of an n-party network: n data qubits plus n-1 Bell pairs."""
     return 3 * n - 2
@@ -137,9 +141,9 @@ class Unforced:
     """A measurement outcome left open: every row splits in two, one per value.
 
     ``index`` is the measurement's place in the protocol's written order.
-    The outcome's bit sits in the branch part of a row index at the rank of
-    ``index`` among the unforced outcomes taken so far, most significant
-    first, so once every one is taken the rows are in written order.
+    Inside a network the outcome's bit is the least significant branch bit
+    of a row index when it is taken, and :attr:`Network.register` shows the
+    rows with the branch bits sorted by ``index``, most significant first.
     """
 
     index: int
@@ -160,26 +164,20 @@ def _row_norms2(amps: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _spread(values: np.ndarray, lead: int) -> np.ndarray:
-    """``values``, one per row, repeated for both outcomes of a measurement
-    whose outcome axis splits the row index into ``lead`` blocks."""
-    return np.repeat(values.reshape(lead, 1, -1), 2, axis=1).ravel()
-
-
 def _measured(
-    amps: np.ndarray, q: int, basis: MeasurementBasis, outcomes: Sequence[int], lead: int
+    amps: np.ndarray, q: int, basis: MeasurementBasis, outcomes: Sequence[int]
 ) -> np.ndarray:
-    """A C-contiguous ``(rows * len(outcomes), cols // 2)`` register: each
-    row projected onto each of ``outcomes`` of qubit ``q`` in ``basis``,
-    unnormalized, ``q`` removed.  The outcome axis splits the row index into
-    ``lead`` blocks."""
+    """A new C-contiguous ``(rows * len(outcomes), cols // 2)`` register:
+    each row projected onto each of ``outcomes`` of qubit ``q`` in
+    ``basis``, unnormalized, ``q`` removed.  Row ``r``'s projection onto
+    ``outcomes[k]`` is row ``r * len(outcomes) + k``."""
     rows, cols = amps.shape
-    cube = amps.reshape(lead, rows // lead, 1 << q, 2, -1)
-    zero, one = cube[..., 0, :], cube[..., 1, :]
-    out = np.empty((lead, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
+    cube = amps.reshape(rows, 1 << q, 2, -1)
+    zero, one = cube[:, :, 0], cube[:, :, 1]
+    out = np.empty((rows, len(outcomes)) + zero.shape[1:], dtype=np.complex128)
     for k, outcome in enumerate(outcomes):
         if basis is MeasurementBasis.COMPUTATIONAL:
-            out[:, k] = cube[..., outcome, :]
+            out[:, k] = cube[:, :, outcome]
         elif outcome == 0:
             np.add(zero, one, out=out[:, k])
         else:
@@ -189,20 +187,34 @@ def _measured(
     return out.reshape(-1, cols >> 1)
 
 
+def _split_front(amps: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
+    """:func:`_measured` of qubit 0 onto both outcomes, worked in place:
+    qubit 0 is the leading bit of a row, so each row's two halves are its two
+    projections already (after a butterfly in the Hadamard basis), and the
+    result is a view of ``amps``."""
+    rows = amps.shape[0]
+    halves = amps.reshape(rows, 2, -1)
+    if basis is MeasurementBasis.HADAMARD:
+        zero, one = halves[:, 0], halves[:, 1]
+        difference = zero - one
+        zero += one
+        one[...] = difference
+        amps *= _SQRT_HALF
+    return halves.reshape(rows << 1, -1)
+
+
 def _act(cube: np.ndarray, index: list, axis: int, block: _Block) -> None:
     """Apply b in place to ``cube[index]`` along ``axis``, the target qubit's
     axis, whose entry of ``index`` this sets."""
-    if block.swap:
-        # one assignment: numpy reads an overlapping source before writing
-        index[axis] = slice(None)
-        pair = tuple(index)
-        index[axis] = slice(None, None, -1)
-        cube[pair] = cube[tuple(index)]
-        return
     index[axis] = 0
     v0 = cube[tuple(index)]
     index[axis] = 1
     v1 = cube[tuple(index)]
+    if block.swap:
+        held = v0.copy()
+        v0[...] = v1
+        v1[...] = held
+        return
     (b00, b01), (b10, b11) = block.b
     if block.diagonal:
         if b00 != 1:
@@ -210,14 +222,17 @@ def _act(cube: np.ndarray, index: list, axis: int, block: _Block) -> None:
         if b11 != 1:
             v1 *= b11
         return
-    # the arithmetic runs on contiguous copies, and each view is written once
-    x0, x1 = v0.copy(), v1.copy()
-    y0 = x0 * b00
-    y0 += b01 * x1
-    x1 *= b11
-    x1 += b10 * x0
-    v0[...] = y0
-    v1[...] = x1
+    # Each cross term is taken before the view it reads is overwritten.  The
+    # arithmetic on strided views is slower than on contiguous copies, but
+    # copies need twice the scratch, and at n = 6 that extra peak alone makes
+    # the allocator return and refault about 2 MiB per verify.
+    cross = np.empty((2,) + v0.shape, dtype=np.complex128)
+    np.multiply(b01, v1, out=cross[0])
+    np.multiply(b10, v0, out=cross[1])
+    v0 *= b00
+    v0 += cross[0]
+    v1 *= b11
+    v1 += cross[1]
 
 
 def _apply(
@@ -231,10 +246,11 @@ def _apply(
     """Apply ``gate`` on ``targets`` to the ``(rows, 2^num_qubits)`` register.
 
     ``split`` lists the written indices of the unforced outcomes taken so
-    far, ascending: the branch bits of a row index, most significant first.
+    far, in the order taken: the branch bits of a row index, most
+    significant first.
     With ``bits``, only the rows whose XOR of those outcome bits is 1: a
     forced bit counts for every row, and :class:`Unforced` bit ``w`` is the
-    branch bit at the rank of ``w`` in ``split``.  The gate acts once per
+    branch bit at the place of ``w`` in ``split``.  The gate acts once per
     assignment of the open bits that fires it, on the rows with those
     branch bits fixed; without ``bits``, once on every row.  A gate I ⊕ b
     acts in place on views; any other gate is applied densely to those rows
@@ -279,21 +295,39 @@ class Network:
     the module docstring for their order), one row per input at first.  A
     forced outcome keeps that half of every row and an :class:`Unforced` one
     keeps both, so after k unforced measurements row ``input * 2^k + b``
-    holds branch ``b`` of that input (outcome bits in the written order of
-    their :class:`Unforced` indices, first most significant).  Rows are never
+    holds branch ``b`` of that input.  Inside the network the bits of ``b``
+    are the outcomes in the order they were taken, first most significant;
+    :attr:`register`, :attr:`probabilities` and :attr:`impossible` show them
+    in the written order of their :class:`Unforced` indices.  Rows are never
     renormalized: a row's squared norm is its branch probability.  The
     array is C-contiguous whatever has run, so gates reshape it into views.
     Ownership and inbox checks run once per operation whatever the rows and
     bits; ownership is read from the label map, so it follows the register
     as measured qubits leave it.  The ledger starts with the n-1 distributed
     ebits.
+
+    Construction refuses, with ``ValueError``, an n that is not an integer
+    (a bool is not one), n < 2, a register over :data:`MAX_REGISTER_QUBITS`
+    and a ``register`` that is not a 2-D array of at least one row of
+    ``2^n`` amplitudes.
     """
 
     def __init__(self, kind: TopologyKind, n: int, register: np.ndarray):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if n < 2:
+            raise ValueError(f"need at least 2 parties, got n={n}")
+        check_register_size(n)
+        amps = np.ascontiguousarray(register, dtype=np.complex128)
+        if amps.ndim != 2 or amps.shape[0] < 1 or amps.shape[1] != 1 << n:
+            raise ValueError(
+                f"register must hold rows of {1 << n} amplitudes, at least one, "
+                f"got shape {amps.shape}"
+            )
         self.n = n
         self.topology = Topology(kind, n, _bell_edges(kind, n))
         self.ledger = CostLedger(ebits=n - 1)
-        self._amps = np.ascontiguousarray(register)
+        self._amps = amps
         self._labels = [f"d{i}" for i in range(1, n + 1)]
         self._owner = {f"d{i}": i for i in range(1, n + 1)}
         # Bell pairs not yet in the register, by the label of either half.
@@ -304,12 +338,12 @@ class Network:
             self._pending[edge.label_a] = self._pending[edge.label_b] = edge
         # The bit delivered to each recipient under each tag; the first one kept.
         self._inbox: dict[tuple[int, str], int | Unforced] = {}
-        # Written indices of the unforced outcomes taken, ascending: the
-        # branch bits of a row index, most significant first.
+        # Written indices of the unforced outcomes taken, in the order taken:
+        # the branch bits of a row index, most significant first.
         self._split: list[int] = []
         # Each row's squared norm as of its last measurement; inputs are normalized.
-        self._norms2 = np.ones(register.shape[0])
-        self._impossible = np.zeros(register.shape[0], dtype=bool)
+        self._norms2 = np.ones(amps.shape[0])
+        self._impossible = np.zeros(amps.shape[0], dtype=bool)
 
     # -- register ------------------------------------------------------------
 
@@ -323,21 +357,48 @@ class Network:
 
     @property
     def register(self) -> np.ndarray:
-        """The ``(rows, 2^qubits)`` amplitude array, as a read-only view;
-        gates act on the register in place, so later ones show through it."""
-        view = self._amps.view()
+        """The ``(rows, 2^qubits)`` amplitude array, read-only, rows in written
+        order.  When the outcomes were taken in written order it is a view:
+        gates act on the register in place, and an unforced measurement of
+        qubit 0 splits it in place, so a view taken before an operation may
+        share memory with the register after it and show what the operation
+        wrote.  Otherwise it is a copy with its rows reordered."""
+        view = self._in_written_order(self._amps).view()
         view.setflags(write=False)
         return view
 
     @property
     def probabilities(self) -> np.ndarray:
-        """Squared norm of each row: its branch probability."""
-        return _row_norms2(self._amps)
+        """Squared norm of each row, in written order: its branch probability."""
+        return self._in_written_order(_row_norms2(self._amps))
 
     @property
     def impossible(self) -> np.ndarray:
-        """Rows where some measurement had conditional probability below 1e-12."""
-        return self._impossible.copy()
+        """Rows, in written order, where some measurement had conditional
+        probability below 1e-12."""
+        return self._in_written_order(self._impossible).copy()
+
+    def _overlaps(self, targets: np.ndarray) -> np.ndarray:
+        """|<targets[m]|row>|^2 for every row of input m, in written order.
+
+        The rows are read where they lie and only these products are put in
+        written order, so no reordered copy of the register is made."""
+        rows = self._amps.reshape(len(targets), -1, self._amps.shape[1])
+        inner = np.einsum("mi,mbi->mb", targets.conj(), rows)
+        return self._in_written_order((np.abs(inner) ** 2).ravel())
+
+    def _in_written_order(self, values: np.ndarray) -> np.ndarray:
+        """``values``, one entry or row per register row, with the branch bits
+        of each row index moved from the order taken to written order:
+        ``values`` itself when the two agree, else one copy."""
+        split = self._split
+        if split == sorted(split):
+            return values
+        k = len(split)
+        axes = sorted(range(1, k + 1), key=lambda axis: split[axis - 1])
+        cube = values.reshape((-1,) + (2,) * k + values.shape[1:])
+        rest = range(k + 1, cube.ndim)
+        return cube.transpose((0, *axes, *rest)).reshape(values.shape)
 
     # -- label/index bookkeeping ---------------------------------------
 
@@ -345,8 +406,8 @@ class Network:
         """Current global index of the qubit with the given stable label.
 
         A Bell pair joins the register when either of its labels is first
-        resolved: its two halves are tensored in at the end, ``label_a``
-        then ``label_b``.
+        resolved: its two halves are tensored in at the front, ``label_a``
+        as qubit 0 and ``label_b`` as qubit 1.
         """
         if label in self._pending:
             self._commit(*self._joined([label]))
@@ -381,17 +442,23 @@ class Network:
 
     def _joined(self, labels: Sequence[str]) -> tuple[np.ndarray, list[str]]:
         """The register and live labels with each pending pair ``labels``
-        names tensored in at the end, in the order first named."""
+        names tensored in at the front, in the order first named, so the
+        last one joined leads.  A pair's |00> and |11> quarters of each row
+        are the old row times sqrt(1/2), and its |01> and |10> quarters are 0."""
         amps, live, pending = self._amps, self._labels, self._pending
         for label in labels:
             if label in pending and label not in live:
                 edge = pending[label]
-                amps = (amps[:, :, None] * _BELL).reshape(amps.shape[0], -1)
-                live = live + [edge.label_a, edge.label_b]
+                rows, cols = amps.shape
+                quarters = np.empty((rows, 4, cols), dtype=np.complex128)
+                np.multiply(amps[:, None], _SQRT_HALF, out=quarters[:, ::3])
+                quarters[:, 1:3] = 0
+                amps = quarters.reshape(rows, -1)
+                live = [edge.label_a, edge.label_b] + live
         return amps, live
 
     def _commit(self, amps: np.ndarray, live: list[str]) -> None:
-        for label in live[len(self._labels):]:
+        for label in live[: len(live) - len(self._labels)]:
             del self._pending[label]
         self._amps, self._labels = amps, live
 
@@ -423,6 +490,10 @@ class Network:
         that ``outcome`` names (both halves for an :class:`Unforced` one) and
         discard the qubit.
 
+        An unforced outcome becomes the least significant branch bit: row
+        ``r`` splits into rows ``2r`` and ``2r + 1``.  Measuring qubit 0 that
+        way splits the register in place; any other qubit is copied once,
+        into the new register.  A forced outcome always makes a new register.
         A kept row of conditional probability below 1e-12 is flagged
         impossible; a forced outcome no row can take raises
         :class:`ImpossibleBranchError` and leaves the register as it was.
@@ -438,15 +509,15 @@ class Network:
         elif not _is_bit(outcome):
             raise ValueError(f"outcome must be an integer 0 or 1, got {outcome!r}")
         amps, live, (qubit,) = self._resolve(party_id, [label])
-        rows = amps.shape[0]
         parent, impossible = self._norms2, self._impossible
-        if unforced:
-            # the bit goes in at its written index's rank among the split ones
-            lead = rows >> (len(self._split) - bisect.bisect(self._split, outcome.index))
-            amps = _measured(amps, qubit, basis, (0, 1), lead)
-            parent, impossible = _spread(parent, lead), _spread(impossible, lead)
+        if not unforced:
+            amps = _measured(amps, qubit, basis, (outcome,))
         else:
-            amps = _measured(amps, qubit, basis, (outcome,), rows)
+            if qubit == 0:
+                amps = _split_front(amps, basis)
+            else:
+                amps = _measured(amps, qubit, basis, (0, 1))
+            parent, impossible = np.repeat(parent, 2), np.repeat(impossible, 2)
         norms2 = _row_norms2(amps)
         impossible = impossible | (norms2 < IMPOSSIBLE_CUTOFF * parent)
         if not unforced and impossible.all():
@@ -457,7 +528,7 @@ class Network:
         self._norms2 = norms2
         self._impossible = impossible
         if unforced:
-            bisect.insort(self._split, outcome.index)
+            self._split.append(outcome.index)
         del self._labels[qubit]
         del self._owner[label]
         return float(norms2[0] / parent[0]) if len(norms2) == 1 else None
@@ -506,9 +577,6 @@ def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Ne
     distributed ebits.  A run of a protocol that leaves every outcome
     :class:`Unforced` covers every branch of every input.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 parties, got {n}")
-    check_register_size(n)
     for state in inputs:
         if state.num_qubits != n:
             raise ValueError(f"input state has {state.num_qubits} qubits, expected {n}")

@@ -138,8 +138,13 @@ def _force_all(
     probability, fidelity and impossibility, and the run's ledger.
 
     The batch starts from the data qubits and takes each Bell pair in at its
-    first use, so ops before the last pair act on smaller registers.  The
-    oracle acts once on all inputs stacked as rows.  A fidelity is
+    first use, at the front of the register, so ops before the last pair act
+    on smaller registers and most measurements split rows in place (see
+    :mod:`telegate.network`).  The network takes its outcome bits in run
+    order; its probabilities and impossibility flags come out in written
+    order, and so do the overlaps, which it computes on the rows where they
+    lie, so the register is never copied to reorder it.  The oracle acts
+    once on all inputs stacked as rows.  A fidelity is
     |<target|row>|^2 over both squared norms, so a payload within the
     unitarity tolerance scales neither side's verdict.  A target norm within
     rounding of 1 is taken as 1, so an exact payload's fidelities are the
@@ -149,9 +154,8 @@ def _force_all(
     shape = (len(inputs), 1 << spec.num_measurements)
     probabilities = net.probabilities.reshape(shape)
     impossible = net.impossible.reshape(shape)
-    final = net.register.reshape(shape + (-1,))
     targets = _oracle_rows(spec, np.stack([state.amplitudes for state in inputs]))
-    overlaps = np.abs(np.einsum("mi,mbi->mb", targets.conj(), final)) ** 2
+    overlaps = net._overlaps(targets).reshape(shape)
     target_norms2 = np.einsum("mi,mi->m", targets.conj(), targets).real
     target_norms2[np.abs(target_norms2 - 1.0) <= TARGET_NORM_ROUNDING] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):

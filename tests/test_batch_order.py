@@ -17,6 +17,7 @@ from telegate import (
     ProtocolFamily,
     ProtocolSpec,
     basis_state,
+    brute_force_oracle,
     controlled,
     oracle_effect,
     pauli_x,
@@ -169,7 +170,27 @@ def test_outcome_bits_taken_out_of_order_land_in_written_order():
     in_order, out_of_order = nets
     assert in_order.impossible.any()
     np.testing.assert_array_equal(out_of_order.impossible, in_order.impossible)
+    np.testing.assert_allclose(
+        out_of_order.probabilities, in_order.probabilities, rtol=0, atol=ATOL
+    )
     np.testing.assert_allclose(out_of_order.register, in_order.register, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_n7_row_is_the_brute_force_oracle_at_uniform_probability(family):
+    # a 19-qubit network with 4096 branches per input, past the digests' n <= 6
+    n = 7
+    payload = random_involution(380) if family is SERIES_CH else random_unitary(380)
+    spec = ProtocolSpec(family, n, payload)
+    state = random_state(n, 381)
+    net = build_batch(topology_for(family), n, [state])
+    run_protocol(spec, net, None)
+    probabilities = net.probabilities
+    assert probabilities.shape == (4 ** (n - 1),)
+    np.testing.assert_allclose(probabilities, 4.0 ** -(n - 1), rtol=1e-9, atol=0)
+    target = brute_force_oracle(spec, state).amplitudes
+    fidelities = np.abs(net.register @ target.conj()) ** 2 / probabilities
+    assert fidelities.min() >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -103,7 +103,8 @@ class TestBuildNetwork:
         assert net.held_qubits(1) == {"d1", "f1"}
         assert net.held_qubits(2) == {"r2", "d2", "f2"}
         assert net.held_qubits(3) == {"r3", "d3"}
-        assert [net.label_at(i) for i in range(7)] == ["d1", "d2", "d3", "f1", "r2", "f2", "r3"]
+        # each pair joins at the front, so the last one joined leads
+        assert [net.label_at(i) for i in range(7)] == ["f2", "r3", "f1", "r2", "d1", "d2", "d3"]
 
     def test_parallel_ownership_blocks(self):
         net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 3)]))
@@ -125,6 +126,28 @@ class TestBuildNetwork:
     def test_rejects_input_size_mismatch(self):
         with pytest.raises(ValueError):
             build_batch(TopologyKind.SERIES, 3, [random_state(2, 0)])
+
+
+class TestConstruction:
+    """``Network`` itself refuses what ``build_batch`` refuses, before any gate."""
+
+    @pytest.mark.parametrize("n", [1, 0, -2, 3.0, True, "3", None, 9])
+    def test_a_bad_party_count_is_refused(self, n):
+        with pytest.raises(ValueError):
+            Network(TopologyKind.SERIES, n, np.ones((1, 8)) / np.sqrt(8))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 16), (8,), (0, 8), (1, 2, 4), ()])
+    def test_a_register_not_of_rows_of_2_to_the_n_is_refused(self, shape):
+        with pytest.raises(ValueError, match="rows of 8 amplitudes"):
+            Network(TopologyKind.SERIES, 3, np.ones(shape))
+
+    def test_a_valid_register_constructs_as_complex_rows(self):
+        rows = np.ones((2, 8), dtype=np.complex64) / np.sqrt(8)
+        net = Network(TopologyKind.PARALLEL, np.int64(3), rows)
+        assert net.n == 3 and net.register.dtype == np.complex128
+        np.testing.assert_allclose(net.probabilities, 1.0, rtol=0, atol=1e-6)
+        net.local_apply(1, CX, ["d1", "e1"])
+        assert net.register.shape == (2, 1 << 5)
 
 
 class TestLocalOperations:
@@ -153,12 +176,12 @@ class TestLocalOperations:
 
     def test_measurement_discards_and_reindexes(self):
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 6)]))
-        assert net.qubit_index("r2") == 4
+        assert net.qubit_index("r2") == 3  # f2 r3 f1 r2 d1 d2 d3
         net.local_apply(1, CX, ["d1", "f1"])
         net.local_measure(1, "f1", COMP, 0)
         assert net.state.num_qubits == 6
         assert net.held_qubits(1) == {"d1"}
-        assert net.qubit_index("r2") == 3
+        assert net.qubit_index("r2") == 2
         held = [net.held_qubits(p) for p in _parties(net)]
         assert set().union(*held) == set(_live(net)) and len(_live(net)) == 6
 
@@ -224,21 +247,22 @@ class TestMeasurementBoundary:
     def test_basis_must_be_a_measurement_basis(self, basis):
         for net in self._networks():
             before = net.register.copy()
+            live = _live(net)
             for outcome in (0, Unforced(0)):
                 with pytest.raises(ValueError, match="MeasurementBasis"):
                     net.local_measure(1, "f1", basis, outcome)
             np.testing.assert_array_equal(net.register, before)
-            assert net.label_at(3) == "f1"
+            assert _live(net) == live and "f1" in live
 
     @pytest.mark.parametrize("outcome", [1.0, True, False, 2, -1, "1", None, np.float64(0)])
     def test_forced_outcome_must_be_an_integer_bit(self, outcome):
         for net in self._networks():
-            before = net.register.copy()
+            before, live = net.register.copy(), _live(net)
             with pytest.raises(ValueError, match="integer 0 or 1") as raised:
                 net.local_measure(1, "f1", COMP, outcome)
             assert repr(outcome) in str(raised.value)
             np.testing.assert_array_equal(net.register, before)
-            assert net.label_at(3) == "f1"
+            assert _live(net) == live and "f1" in live
 
     def test_numpy_integer_outcomes_are_bits(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 8)])
@@ -279,7 +303,7 @@ class TestForcedMeasurement:
     """Worked single-branch measurements on small registers."""
 
     def test_bell_half_computational_zero(self):
-        # series n=2 on |00>: d1 d2 f1 r2 = |0> |0> (|00> + |11>)/sqrt(2)
+        # series n=2 on |00>: f1 r2 d1 d2 = (|00> + |11>)/sqrt(2) |0> |0>
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         prob = net.local_measure(1, "f1", COMP, 0)
         assert abs(prob - 0.5) < 1e-12
@@ -291,9 +315,9 @@ class TestForcedMeasurement:
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         prob = net.local_measure(1, "f1", HAD, 1)
         assert abs(prob - 0.5) < 1e-12
-        # d1 d2 r2
+        # r2 d1 d2
         np.testing.assert_allclose(
-            net.state.amplitudes, np.kron(np.kron(ZERO, ZERO), MINUS), atol=1e-12
+            net.state.amplitudes, np.kron(MINUS, np.kron(ZERO, ZERO)), atol=1e-12
         )
 
     def test_plus_in_hadamard_basis_is_certain(self):
@@ -301,8 +325,8 @@ class TestForcedMeasurement:
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [plus_zero]))
         prob = net.local_measure(1, "d1", HAD, 0)
         assert abs(prob - 1.0) < 1e-12
-        # d2 f1 r2
-        np.testing.assert_allclose(net.state.amplitudes, np.kron(ZERO, BELL), atol=1e-12)
+        # f1 r2 d2
+        np.testing.assert_allclose(net.state.amplitudes, np.kron(BELL, ZERO), atol=1e-12)
 
     def test_impossible_outcome_raises_and_leaves_the_register(self):
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
@@ -363,6 +387,16 @@ class TestBatchedMeasurement:
                             rtol=0,
                             atol=1e-12,
                         )
+
+    @pytest.mark.parametrize("basis", [COMP, HAD])
+    def test_an_unforced_split_of_qubit_0_copies_nothing(self, basis, rng):
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, rng) for _ in range(2)])
+        net.local_apply(1, CX, ["d1", "f1"])
+        assert net.label_at(0) == "f1"
+        before = net.register
+        net.local_measure(1, "f1", basis, Unforced(0))
+        assert net.register.shape == (4, 1 << 4)
+        assert np.shares_memory(before, net.register)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_rows_are_the_single_registers(self, kind, rng):
@@ -427,9 +461,9 @@ class TestForcedRows:
         net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
         net.local_measure(1, "f1", HAD, 1)
         assert abs(net.probabilities[0] - 0.5) < 1e-12
-        # d1 d2 r2
+        # r2 d1 d2
         np.testing.assert_allclose(
-            net.state.amplitudes, np.kron(np.kron(ZERO, ZERO), MINUS), atol=1e-12
+            net.state.amplitudes, np.kron(MINUS, np.kron(ZERO, ZERO)), atol=1e-12
         )
 
 
@@ -437,11 +471,11 @@ class TestDiscard:
     """A measured qubit leaves the register and later indices shift down."""
 
     def test_certain_outcome_leaves_the_rest_unchanged(self):
-        # series n=2 on |01>: measuring d2 gives 1 with certainty, leaving d1 f1 r2
+        # series n=2 on |01>: measuring d2 gives 1 with certainty, leaving f1 r2 d1
         net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [basis_state(2, "01")]))
         prob = net.local_measure(2, "d2", COMP, 1)
         assert abs(prob - 1.0) < 1e-12
-        np.testing.assert_allclose(net.state.amplitudes, np.kron(ZERO, BELL), atol=1e-12)
+        np.testing.assert_allclose(net.state.amplitudes, np.kron(BELL, ZERO), atol=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_later_indices_shift_down_by_one(self, kind):
@@ -727,10 +761,13 @@ class TestKernels:
             (three, [u0, u1, u0]),
             (three, [1, u2, u2]),
             ([0, 1, 2, 3, 4], [Unforced(4), u0, Unforced(3), 1, u2, u1]),
-            # written indices not yet all measured: a bit's axis is its rank
+            # written indices not yet all measured, or taken out of written
+            # order: a bit's axis is its place in the order taken
             ([1, 4, 6], [Unforced(4)]),
             ([1, 4, 6], [Unforced(6), u1, 1]),
             ([2, 5], [Unforced(5), u2, Unforced(5)]),
+            ([6, 1, 4], [Unforced(6)]),
+            ([4, 0, 2], [u0, u2, 1]),
         ]
         for split, bits in cases:
             rows = inputs << len(split)
