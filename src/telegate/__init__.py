@@ -40,7 +40,6 @@ from .protocols import (
     measurement_schedule,
     oracle_effect,
     run_protocol,
-    topology_for,
 )
 from .verify import (
     brute_force_oracle,
@@ -85,7 +84,6 @@ __all__ = [
     "measurement_schedule",
     "oracle_effect",
     "run_protocol",
-    "topology_for",
     "brute_force_oracle",
     "check_costs",
     "enumerate_branches",

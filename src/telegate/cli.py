@@ -22,14 +22,8 @@ import numpy as np
 
 from .errors import LocalityViolation, TelegateError
 from .gates import Gate, _entry_to_complex, parse_gate_spec
-from .network import build_batch, check_register_size
-from .protocols import (
-    Measure,
-    ProtocolFamily,
-    ProtocolSpec,
-    _checked_run,
-    topology_for,
-)
+from .network import check_register_size
+from .protocols import Measure, ProtocolFamily, ProtocolSpec, _checked_run
 from .statevector import StateVector, basis_state
 from .verify import (
     VerificationReport,
@@ -92,7 +86,7 @@ def record_trace(spec: ProtocolSpec, input_state: StateVector, branch: list[int]
     """Execute one branch and capture a self-contained, replayable trace: events
     rendered from the op list, probabilities and final state from the register."""
     branch = list(branch)
-    net = build_batch(topology_for(spec.family), spec.n, [input_state])
+    net = spec.network([input_state])
     probabilities = _checked_run(spec, net, branch)
     final = net.state
     return {
@@ -272,7 +266,7 @@ def cmd_costs(args: argparse.Namespace) -> int:
     for n in range(2, args.n_max + 1):
         payload = parse_gate_spec("H")  # involutory, valid for every family
         spec = ProtocolSpec(family, n, payload)
-        net = build_batch(topology_for(family), n, [basis_state(n, "0" * n)])
+        net = spec.network([basis_state(n, "0" * n)])
         _checked_run(spec, net, [0] * spec.num_measurements)
         ebits, cbits = expected_costs(family, n)
         ok = check_costs(spec, net.ledger)

@@ -17,12 +17,12 @@ transpose only when the two orders differ.  A network keeps no record of
 the operations run on it: :mod:`telegate.cli` renders a forced branch's
 events from the protocol's op list.
 
-Every gate the protocols use has the form I ⊕ b: a one-qubit block b on its
-last qubit under all-ones controls (X, Z, CX, CZ, CCX, controlled-payload).
-Such a gate acts in place on two basic-index views of the register, the
-target at 0 and at 1 with every control at 1: b = X swaps them, a diagonal b
-scales them and any other b mixes them.  Any other gate goes through the
-dense kernel :func:`~telegate.statevector._apply_matrix`.  A correction,
+A network applies only gates of the form I ⊕ b: a one-qubit block b on the
+last qubit under all-ones controls, as is every gate the protocols use (X,
+Z, CX, CZ, CCX, controlled-payload).  Such a gate acts in place on two
+basic-index views of the register, the target at 0 and at 1 with every
+control at 1: b = X swaps them, a diagonal b scales them and any other b
+mixes them.  Any other gate is refused with ``ValueError``.  A correction,
 applied iff the XOR of some outcome bits is 1, takes one path whatever its
 gate and bits: it acts once per assignment of its open bits that fires it,
 on the rows with those branch bits fixed, so the rows it does not fire on
@@ -67,13 +67,7 @@ import numpy as np
 
 from .errors import ImpossibleBranchError, LocalityViolation, MissingMessage
 from .gates import Gate, _Block, _block
-from .statevector import (
-    IMPOSSIBLE_CUTOFF,
-    MeasurementBasis,
-    StateVector,
-    _apply_matrix,
-    _check_targets,
-)
+from .statevector import IMPOSSIBLE_CUTOFF, MeasurementBasis, StateVector, _check_targets
 
 # Largest register (3n - 2 qubits) any network may allocate: 2^22 amplitudes,
 # 64 MiB per input, so n <= 8.
@@ -243,7 +237,8 @@ def _apply(
     split: Sequence[int] = (),
     bits: Sequence[int | Unforced] | None = None,
 ) -> np.ndarray:
-    """Apply ``gate`` on ``targets`` to the ``(rows, 2^num_qubits)`` register.
+    """Apply ``gate``, a gate I ⊕ b, on ``targets`` to the
+    ``(rows, 2^num_qubits)`` register.
 
     ``split`` lists the written indices of the unforced outcomes taken so
     far, in the order taken: the branch bits of a row index, most
@@ -252,10 +247,9 @@ def _apply(
     forced bit counts for every row, and :class:`Unforced` bit ``w`` is the
     branch bit at the place of ``w`` in ``split``.  The gate acts once per
     assignment of the open bits that fires it, on the rows with those
-    branch bits fixed; without ``bits``, once on every row.  A gate I ⊕ b
-    acts in place on views; any other gate is applied densely to those rows
-    and written back.  ``amps`` is C-contiguous, as every register is, so
-    that the reshape below is a view.  Returns the register.
+    branch bits fixed; without ``bits``, once on every row.  It acts in
+    place on views of ``amps``, which is C-contiguous, as every register is,
+    so that the reshape below is a view.  Returns the register.
     """
     flip = int(bits is None)
     unforced: set[int] = set()
@@ -279,11 +273,6 @@ def _apply(
     for values in fired:
         for j, value in zip(unforced, values):
             index[1 + j] = value
-        if block is None:
-            rows = cube[tuple(index[:qubit0])]
-            flat = rows.reshape(rows.shape[: rows.ndim - num_qubits] + (-1,))
-            rows[...] = _apply_matrix(flat, num_qubits, gate.matrix, targets).reshape(rows.shape)
-            continue
         _act(cube, index, qubit0 + targets[-1], block)
     return amps
 
@@ -300,11 +289,13 @@ class Network:
     :attr:`register`, :attr:`probabilities` and :attr:`impossible` show them
     in the written order of their :class:`Unforced` indices.  Rows are never
     renormalized: a row's squared norm is its branch probability.  The
-    array is C-contiguous whatever has run, so gates reshape it into views.
-    Ownership and inbox checks run once per operation whatever the rows and
-    bits; ownership is read from the label map, so it follows the register
-    as measured qubits leave it.  The ledger starts with the n-1 distributed
-    ebits.
+    array is a C-contiguous copy of ``register``, whatever has run, so gates
+    reshape it into views and never write to the caller's array.  Ownership
+    and inbox checks run once per operation whatever the rows and bits;
+    ownership is read from the label map, so it follows the register as
+    measured qubits leave it.  A gate that is not I ⊕ b is refused with
+    ``ValueError`` once its targets are checked.  The ledger starts with the
+    n-1 distributed ebits.
 
     Construction refuses, with ``ValueError``, an n that is not an integer
     (a bool is not one), n < 2, a register over :data:`MAX_REGISTER_QUBITS`
@@ -318,7 +309,7 @@ class Network:
         if n < 2:
             raise ValueError(f"need at least 2 parties, got n={n}")
         check_register_size(n)
-        amps = np.ascontiguousarray(register, dtype=np.complex128)
+        amps = np.array(register, dtype=np.complex128, order="C")
         if amps.ndim != 2 or amps.shape[0] < 1 or amps.shape[1] != 1 << n:
             raise ValueError(
                 f"register must hold rows of {1 << n} amplitudes, at least one, "
@@ -465,7 +456,8 @@ class Network:
     # -- local operations ------------------------------------------------
 
     def local_apply(self, party_id: int, gate: Gate, labels: Sequence[str]) -> None:
-        """Apply a gate to the qubits labelled ``labels``, all held by ``party_id``."""
+        """Apply a gate I ⊕ b to the qubits labelled ``labels``, all held by
+        ``party_id``."""
         self._gate(party_id, gate, labels, None)
 
     def apply_if(
@@ -480,6 +472,8 @@ class Network:
     ) -> None:
         amps, live, targets = self._resolve(party_id, labels)
         _check_targets(gate, targets, len(live))
+        if _block(gate) is None:
+            raise ValueError(f"gate {gate.label!r} is not a controlled one-qubit gate I ⊕ b")
         bits = None if tags is None else [self.read_cbit(party_id, tag) for tag in tags]
         self._commit(_apply(amps, len(live), gate, targets, self._split, bits), live)
 

@@ -1,19 +1,23 @@
 """The three teleportation protocol families and their ideal-effect oracle.
 
-Each protocol is one fixed list of operations, the same on every branch,
-built by one function per family: :class:`LocalGate` (a party's gate, applied
-iff the XOR of the named inbox bits is 1 when it names any) and
-:class:`Measure` (a party's measurement, whose outcome is then sent to each
-recipient).  :func:`run_protocol` is the one interpreter.  It walks the list
-under strict LOCC discipline: every gate and measurement goes through the
-network's ownership checks, every correction reads only bits previously
-delivered to that party, and the final state is returned on the data
-register (party order).  Branch outcomes are supplied up front so that the
-module above can enumerate all of them exhaustively; with no branch given,
-every outcome is left :class:`~telegate.network.Unforced` and one run on a
-batch covers all branches.  A :class:`ProtocolSpec` is checked when it is
-built and keeps its list once built, and :func:`measurement_schedule` reads
-that same list, so it refuses what a run refuses and cannot drift from it.
+What a family means is one record in ``_PROTOCOLS`` (see :class:`_Protocol`):
+running, scheduling, the oracle, the cost check and
+:meth:`ProtocolSpec.network` all read it.
+
+Each protocol is one fixed list of operations, the same on every branch:
+:class:`LocalGate` (a party's gate, applied iff the XOR of the named inbox
+bits is 1 when it names any) and :class:`Measure` (a party's measurement,
+whose outcome is then sent to each recipient).  :func:`run_protocol` is the
+one interpreter.  It walks the list under strict LOCC discipline: every gate
+and measurement goes through the network's ownership checks, every
+correction reads only bits previously delivered to that party, and the
+final state is returned on the data register (party order).  Branch
+outcomes are supplied up front so that the module above can enumerate all
+of them exhaustively; with no branch given, every outcome is left
+:class:`~telegate.network.Unforced` and one run on a batch covers all
+branches.  A :class:`ProtocolSpec` is checked when it is built and keeps its
+list once built, and :func:`measurement_schedule` reads that same list, so
+it refuses what a run refuses and cannot drift from it.
 
 A forced branch runs the list in written order, which is the order of the
 events its trace renders from the list.  An unforced run takes a topological
@@ -44,14 +48,22 @@ import functools
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvolutionRequired, TopologyMismatch
 from .gates import Gate, controlled, pauli_x, pauli_z
 from .gates import validate as validate_gate
-from .network import Network, TopologyKind, Unforced, _bell_edges, _is_bit, check_register_size
+from .network import (
+    Network,
+    TopologyKind,
+    Unforced,
+    _bell_edges,
+    _is_bit,
+    build_batch,
+    check_register_size,
+)
 from .statevector import MeasurementBasis, StateVector, _apply_matrix
 
 _X = pauli_x()
@@ -68,12 +80,6 @@ class ProtocolFamily(Enum):
     PARALLEL_SIMULTANEOUS_CU = "parallel-cu"
     SERIES_SIMULTANEOUS_CH = "series-ch"
     SERIES_N_CONTROLLED_U = "series-ncu"
-
-
-def topology_for(family: ProtocolFamily) -> TopologyKind:
-    if family is ProtocolFamily.PARALLEL_SIMULTANEOUS_CU:
-        return TopologyKind.PARALLEL
-    return TopologyKind.SERIES
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,16 +128,21 @@ class ProtocolSpec:
         """The fixed, branch-independent operation list, built on first use
         and kept."""
         if self._ops is None:
-            ops = _OPS_BY_FAMILY[self.family](self.n, controlled(self.payload, 1))
+            ops = _PROTOCOLS[self.family].build(self.n, controlled(self.payload, 1))
             object.__setattr__(self, "_ops", tuple(ops))
         return self._ops
 
+    def network(self, inputs: Sequence[StateVector]) -> Network:
+        """A fresh network of this family's topology holding ``inputs``, one
+        register row each (see :func:`~telegate.network.build_batch`)."""
+        return build_batch(_PROTOCOLS[self.family].topology, self.n, inputs)
+
 
 def _require_involution(spec: ProtocolSpec) -> None:
-    """Refuse a ``series-ch`` spec whose payload is not an involution: its
-    relays implement U^(XOR of controls), the simultaneous gate only when
-    U^2 = I."""
-    if spec.family is ProtocolFamily.SERIES_SIMULTANEOUS_CH and not spec._involution:
+    """Refuse a spec whose family needs an involution (``series-ch``) and
+    whose payload is not one: its relays implement U^(XOR of controls), the
+    simultaneous gate only when U^2 = I."""
+    if _PROTOCOLS[spec.family].needs_involution and not spec._involution:
         raise InvolutionRequired(
             f"payload {spec.payload.label!r} is not an involution; the series "
             "simultaneous protocol is deterministic only for Hermitian unitaries"
@@ -244,10 +255,31 @@ def _series_ncu_ops(n: int, cu: Gate) -> list[Op]:
     return ops
 
 
-_OPS_BY_FAMILY = {
-    ProtocolFamily.PARALLEL_SIMULTANEOUS_CU: _parallel_ops,
-    ProtocolFamily.SERIES_SIMULTANEOUS_CH: _series_ch_ops,
-    ProtocolFamily.SERIES_N_CONTROLLED_U: _series_ncu_ops,
+@dataclass(frozen=True, slots=True)
+class _Protocol:
+    """What a family means: its Bell-pair topology, its op-list builder (from
+    n and the controlled payload), whether the payload fires on the AND of
+    the controls (else once per set control bit), its closed-form cbit cost
+    for n parties (every family spends n-1 ebits) and whether it needs an
+    involutory payload."""
+
+    topology: TopologyKind
+    build: Callable[[int, Gate], list[Op]]
+    fires_on_and: bool
+    cbits: Callable[[int], int]
+    needs_involution: bool
+
+
+_PROTOCOLS: dict[ProtocolFamily, _Protocol] = {
+    ProtocolFamily.PARALLEL_SIMULTANEOUS_CU: _Protocol(
+        TopologyKind.PARALLEL, _parallel_ops, False, lambda n: 2 * (n - 1), False
+    ),
+    ProtocolFamily.SERIES_SIMULTANEOUS_CH: _Protocol(
+        TopologyKind.SERIES, _series_ch_ops, False, lambda n: (n * n + n - 2) // 2, True
+    ),
+    ProtocolFamily.SERIES_N_CONTROLLED_U: _Protocol(
+        TopologyKind.SERIES, _series_ncu_ops, True, lambda n: 2 * (n - 1), False
+    ),
 }
 
 
@@ -263,9 +295,10 @@ def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple
     measurement in run order.  The payload does not change the list's shape,
     so this is worked out once per (family, n).
     """
-    ops = _OPS_BY_FAMILY[family](n, _CX)
+    protocol = _PROTOCOLS[family]
+    ops = protocol.build(n, _CX)
     pair = {}
-    for i, edge in enumerate(_bell_edges(topology_for(family), n)):
+    for i, edge in enumerate(_bell_edges(protocol.topology, n)):
         pair[edge.label_a] = pair[edge.label_b] = i
     successors: list[list[int]] = [[] for _ in ops]
     waiting = [0] * len(ops)
@@ -357,7 +390,7 @@ def _checked_run(
     involution requirement and the branch, then run.  Returns what each
     measurement returned in written order: its conditional probability on
     one row given a branch."""
-    kind = topology_for(spec.family)
+    kind = _PROTOCOLS[spec.family].topology
     if net.topology.kind is not kind or net.n != spec.n:
         raise TopologyMismatch(
             f"{spec.family.value} n={spec.n} needs a {kind.value} network of {spec.n} "
@@ -389,7 +422,7 @@ def _oracle_rows(spec: ProtocolSpec, rows: np.ndarray) -> np.ndarray:
     state is normalized or checked.
     """
     n = spec.n
-    if spec.family is ProtocolFamily.SERIES_N_CONTROLLED_U:
+    if _PROTOCOLS[spec.family].fires_on_and:
         return _apply_matrix(rows, n, controlled(spec.payload, n - 1).matrix, range(n))
     cu = controlled(spec.payload, 1).matrix
     for control in range(n - 1):

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import CostLedger, build_batch, register_qubits
+from .network import CostLedger, register_qubits
 from .protocols import (
+    _PROTOCOLS,
     ProtocolFamily,
     ProtocolSpec,
     _oracle_rows,
     _require_involution,
     run_protocol,
-    topology_for,
 )
 from .statevector import StateVector, basis_state, random_state
 
@@ -121,9 +121,7 @@ class VerificationReport:
 
 def expected_costs(family: ProtocolFamily, n: int) -> tuple[int, int]:
     """Closed-form (ebits, cbits) for a complete n-party run."""
-    if family is ProtocolFamily.SERIES_SIMULTANEOUS_CH:
-        return n - 1, (n * n + n - 2) // 2
-    return n - 1, 2 * (n - 1)
+    return n - 1, _PROTOCOLS[family].cbits(n)
 
 
 def check_costs(spec: ProtocolSpec, ledger: CostLedger) -> bool:
@@ -149,7 +147,7 @@ def _force_all(
     unitarity tolerance scales neither side's verdict.  A target norm within
     rounding of 1 is taken as 1, so an exact payload's fidelities are the
     overlaps over the row norms alone."""
-    net = build_batch(topology_for(spec.family), spec.n, inputs)
+    net = spec.network(inputs)
     run_protocol(spec, net, None, enforce_involution=enforce_involution)
     shape = (len(inputs), 1 << spec.num_measurements)
     probabilities = net.probabilities.reshape(shape)

@@ -29,10 +29,8 @@ from telegate import (
     random_state,
     random_unitary,
     run_protocol,
-    topology_for,
     verify_inputs,
 )
-from telegate.network import build_batch
 from conftest import single_qubit_purity
 from reference_states import (
     random_coefficients,
@@ -135,8 +133,9 @@ def test_criterion_3_series_ch_basis_rows_for_many_involutions():
     for payload in payloads:
         # one batched run gives all 16 branches of the 8 basis inputs as rows
         # (input * 16 + branch), each unnormalized by sqrt of its probability
-        net = build_batch(topology_for(SERIES_CH), 3, inputs)
-        run_protocol(ProtocolSpec(SERIES_CH, net.n, payload), net, None)
+        spec = ProtocolSpec(SERIES_CH, 3, payload)
+        net = spec.network(inputs)
+        run_protocol(spec, net, None)
         finals = net.register.reshape(8, 16, 8) / np.sqrt(net.probabilities).reshape(8, 16, 1)
         for state, rows in zip(inputs, finals):
             expected = series_ch_final(state.amplitudes, payload.matrix).amplitudes
@@ -145,13 +144,12 @@ def test_criterion_3_series_ch_basis_rows_for_many_involutions():
         costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 5)
     # the two worked rows: both controls set cancels the involution,
     # a single set control applies it once
-    net = build_batch(topology_for(SERIES_CH), 3, [basis_state(3, "110")])
-    unchanged = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, (0, 0, 0, 0))
+    spec = ProtocolSpec(SERIES_CH, 3, hadamard())
+    unchanged = run_protocol(spec, spec.network([basis_state(3, "110")]), (0, 0, 0, 0))
     rows_ok = rows_ok and np.allclose(
         unchanged.amplitudes, basis_state(3, "110").amplitudes, atol=1e-10
     )
-    net = build_batch(topology_for(SERIES_CH), 3, [basis_state(3, "010")])
-    once = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, (0, 0, 0, 0))
+    once = run_protocol(spec, spec.network([basis_state(3, "010")]), (0, 0, 0, 0))
     h_on_zero = np.zeros(8, dtype=complex)
     h_on_zero[0b010] = h_on_zero[0b011] = 1 / np.sqrt(2)
     rows_ok = rows_ok and np.allclose(once.amplitudes, h_on_zero, atol=1e-10)
@@ -192,9 +190,10 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
     expected = series_ncu_final(d, payload.matrix)
     rows_ok = True
     costs_ok = True
+    spec = ProtocolSpec(SERIES_NCU, 3, payload)
     for branch in _branches(3):
-        net = build_batch(topology_for(SERIES_NCU), 3, [StateVector(3, d)])
-        out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, payload), net, branch)
+        net = spec.network([StateVector(3, d)])
+        out = run_protocol(spec, net, branch)
         rows_ok = rows_ok and np.allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
         costs_ok = costs_ok and (net.ledger.ebits, net.ledger.cbits) == (2, 4)
     for idx in range(8):
@@ -202,8 +201,7 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
         expected_basis = series_ncu_final(
             basis_state(3, bits).amplitudes, payload.matrix
         )
-        net = build_batch(topology_for(SERIES_NCU), 3, [basis_state(3, bits)])
-        out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, payload), net, (1, 0, 1, 1))
+        out = run_protocol(spec, spec.network([basis_state(3, bits)]), (1, 0, 1, 1))
         rows_ok = rows_ok and np.allclose(
             out.amplitudes, expected_basis.amplitudes, atol=1e-10
         )
@@ -211,13 +209,13 @@ def test_criterion_5_series_ncu_rows_and_toffoli():
     toffoli = np.eye(8)
     toffoli[6:, 6:] = np.array([[0, 1], [1, 0]])
     toffoli_ok = True
+    toffoli_spec = ProtocolSpec(SERIES_NCU, 3, pauli_x())
     for idx in range(8):
-        net = build_batch(topology_for(SERIES_NCU), 3, [basis_state(3, format(idx, "03b"))])
-        out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, pauli_x()), net, (0, 1, 1, 0))
+        net = toffoli_spec.network([basis_state(3, format(idx, "03b"))])
+        out = run_protocol(toffoli_spec, net, (0, 1, 1, 0))
         toffoli_ok = toffoli_ok and np.allclose(out.amplitudes, toffoli[:, idx], atol=1e-10)
     psi = random_state(3, 56)
-    net = build_batch(topology_for(SERIES_NCU), 3, [psi])
-    out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, pauli_x()), net, (1, 1, 0, 0))
+    out = run_protocol(toffoli_spec, toffoli_spec.network([psi]), (1, 1, 0, 0))
     toffoli_ok = toffoli_ok and (
         fidelity_up_to_phase(out, StateVector(3, toffoli @ psi.amplitudes))
         >= 1 - FIDELITY_ATOL
@@ -301,8 +299,8 @@ class _MutatingNetwork(Network):
         return labels
 
 
-def _armed_mutant(family, n, psi, k):
-    net = build_batch(topology_for(family), n, [psi])
+def _armed_mutant(spec, psi, k):
+    net = spec.network([psi])
     mutant = _MutatingNetwork.__new__(_MutatingNetwork)
     mutant.__dict__.update(net.__dict__)
     mutant._mutate_at = k
@@ -320,11 +318,11 @@ def test_criterion_9_every_foreign_qubit_mutation_trips_the_locality_check():
         spec = ProtocolSpec(family, 3, payload)
         for branch in branch_sets:
             # every gate call, including corrections whose bits are 0
-            clean = _armed_mutant(family, 3, psi, -1)
+            clean = _armed_mutant(spec, psi, -1)
             run_protocol(spec, clean, branch)
             for k in range(clean._gate_calls):
                 attempted += 1
-                mutant = _armed_mutant(family, 3, psi, k)
+                mutant = _armed_mutant(spec, psi, k)
                 try:
                     run_protocol(spec, mutant, branch)
                 except LocalityViolation:

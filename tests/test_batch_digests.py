@@ -27,7 +27,6 @@ from telegate import (
     random_state,
     random_unitary,
     run_protocol,
-    topology_for,
 )
 from telegate.verify import _force_all
 
@@ -82,7 +81,7 @@ def batch_digests() -> dict[str, str]:
             impossible.tolist(),
             [ledger.ebits, ledger.cbits],
         ]
-        net = build_batch(topology_for(spec.family), spec.n, inputs)
+        net = spec.network(inputs)
         run_protocol(spec, net, None, enforce_involution=enforce_involution)
         rows = net.register.reshape(len(inputs), 1 << spec.num_measurements, -1)
         stride = 1 if spec.n <= ROWS_UP_TO_N else ROW_STRIDE

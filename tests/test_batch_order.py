@@ -25,7 +25,6 @@ from telegate import (
     random_state,
     random_unitary,
     run_protocol,
-    topology_for,
 )
 from telegate import verify
 from telegate.network import Network, TopologyKind, Unforced, build_batch
@@ -42,7 +41,7 @@ ATOL = 1e-12
 
 def _written_order_run(spec, inputs):
     """``_force_all``'s arrays from a batch run in written order."""
-    net = build_batch(topology_for(spec.family), spec.n, inputs)
+    net = spec.network(inputs)
     _interpret(spec.ops, net, [Unforced(k) for k in range(spec.num_measurements)])
     shape = (len(inputs), 1 << spec.num_measurements)
     probabilities = net.probabilities.reshape(shape)
@@ -147,7 +146,7 @@ def test_series_runs_in_written_order_hold_at_most_2n_qubits(monkeypatch):
         seen.clear()
         payload = random_involution(370) if family is SERIES_CH else random_unitary(370)
         spec = ProtocolSpec(family, n, payload)
-        net = build_batch(topology_for(family), n, [random_state(n, 371)])
+        net = spec.network([random_state(n, 371)])
         run_protocol(spec, net, [0] * spec.num_measurements)
         assert seen and max(seen) <= 2 * n, family
 
@@ -183,7 +182,7 @@ def test_every_n7_row_is_the_brute_force_oracle_at_uniform_probability(family):
     payload = random_involution(380) if family is SERIES_CH else random_unitary(380)
     spec = ProtocolSpec(family, n, payload)
     state = random_state(n, 381)
-    net = build_batch(topology_for(family), n, [state])
+    net = spec.network([state])
     run_protocol(spec, net, None)
     probabilities = net.probabilities
     assert probabilities.shape == (4 ** (n - 1),)
@@ -202,12 +201,12 @@ def test_a_correction_after_an_unforced_run_reads_the_written_order_bit(family, 
     payload = random_involution(350 + n) if family is SERIES_CH else random_unitary(350 + n)
     spec = ProtocolSpec(family, n, payload)
     state = random_state(n, 360 + n)
-    batch = build_batch(topology_for(family), n, [state])
+    batch = spec.network([state])
     run_protocol(spec, batch, None)
     branches = list(itertools.product((0, 1), repeat=spec.num_measurements))
     forced = []
     for branch in branches:
-        net = build_batch(topology_for(family), n, [state])
+        net = spec.network([state])
         run_protocol(spec, net, list(branch))
         forced.append(net)
     x = pauli_x()

@@ -27,7 +27,6 @@ from telegate import (
     random_state,
     random_unitary,
     run_protocol,
-    topology_for,
     verify_inputs,
 )
 from telegate import verify
@@ -44,7 +43,7 @@ ATOL = 1e-12
 
 def _forced(spec, state, bits, enforce_involution=True):
     """(probability, fidelity, impossible, (ebits, cbits), final) of one forced branch."""
-    net = build_batch(topology_for(spec.family), spec.n, [state])
+    net = spec.network([state])
     try:
         final = run_protocol(spec, net, bits, enforce_involution=enforce_involution)
     except ImpossibleBranchError:
@@ -64,7 +63,7 @@ def _inputs(n, seed):
 
 def _assert_matches_forced(spec, inputs, enforce_involution=True):
     assignments = list(itertools.product((0, 1), repeat=spec.num_measurements))
-    batch = build_batch(topology_for(spec.family), spec.n, inputs)
+    batch = spec.network(inputs)
     run_protocol(spec, batch, None, enforce_involution=enforce_involution)
     rows = batch.register.reshape(len(inputs), len(assignments), -1)
     row_probabilities = batch.probabilities.reshape(len(inputs), len(assignments))
@@ -134,7 +133,7 @@ def test_a_forced_first_outcome_keeps_that_half_of_the_unforced_run(family):
     inputs = _inputs(3, 96)
     runs = []
     for branch in ([1, *map(Unforced, (1, 2, 3))], [Unforced(w) for w in range(4)]):
-        net = build_batch(topology_for(family), 3, inputs)
+        net = spec.network(inputs)
         _interpret(ops, net, branch)
         runs.append(net)
     mixed, full = runs
@@ -196,10 +195,10 @@ class TestBatchChecks:
     def test_an_unforced_run_on_a_built_network_is_the_batch_run(self, family):
         spec = ProtocolSpec(family, 3, random_involution(98))
         for state in _inputs(3, 99):
-            net = build_batch(topology_for(family), 3, [state])
+            net = spec.network([state])
             assert run_protocol(spec, net, None) is None
             assert net.register.shape[0] == 16
-            batch = build_batch(topology_for(family), 3, [state])
+            batch = spec.network([state])
             run_protocol(spec, batch, None)
             np.testing.assert_array_equal(net.register, batch.register)
             np.testing.assert_array_equal(net.probabilities, batch.probabilities)

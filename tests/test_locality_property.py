@@ -14,9 +14,8 @@ from telegate import (
     measurement_schedule,
     pauli_x,
     random_state,
-    topology_for,
 )
-from telegate.network import Unforced, build_batch
+from telegate.network import Unforced
 from reference_states import paper_layout
 
 
@@ -32,8 +31,9 @@ def _cases(draw):
     n = draw(st.integers(2, 4))
     party = draw(st.integers(1, n + 1))  # n + 1 is no party
     # every label the network ever has, and one no network has
-    label = draw(st.sampled_from(paper_layout(topology_for(family), n) + ["q0"]))
     spec = ProtocolSpec(family, n, hadamard())
+    kind = spec.network([random_state(n, 0)]).topology.kind
+    label = draw(st.sampled_from(paper_layout(kind, n) + ["q0"]))
     schedule = measurement_schedule(spec)
     prefix = schedule[: draw(st.integers(0, len(schedule)))]
     if draw(st.booleans()):  # a batch, its outcomes left open
@@ -50,10 +50,9 @@ def _cases(draw):
 def test_gate_refused_iff_label_is_not_held(case):
     spec, party, label, measured, bits = case
     n = spec.n
-    kind = topology_for(spec.family)
     unforced = any(isinstance(outcome, Unforced) for _, outcome in measured)
     inputs = [random_state(n, 0), random_state(n, 1)] if unforced else [random_state(n, 0)]
-    net = build_batch(kind, n, inputs)
+    net = spec.network(inputs)
     gone = set()
     for (who, measured_label, basis), outcome in measured:
         net.local_measure(who, measured_label, basis, outcome)

@@ -149,6 +149,15 @@ class TestConstruction:
         net.local_apply(1, CX, ["d1", "e1"])
         assert net.register.shape == (2, 1 << 5)
 
+    def test_the_network_copies_the_register_it_is_given(self):
+        register = np.zeros((1, 4), dtype=np.complex128)
+        register[0, 0] = 1.0
+        net = Network(TopologyKind.SERIES, 2, register)
+        net.local_apply(2, pauli_x(), ["d2"])
+        np.testing.assert_array_equal(register, [[1, 0, 0, 0]])
+        assert not np.shares_memory(register, net.register)
+        np.testing.assert_array_equal(net.register, [[0, 1, 0, 0]])
+
 
 class TestLocalOperations:
     def test_party_may_touch_its_own_qubits(self):
@@ -662,6 +671,28 @@ class TestRefusals:
             assert _live(net) == before[1]
             assert net.ledger == before[2]
 
+    @pytest.mark.parametrize("conditional", [False, True], ids=["local_apply", "apply_if"])
+    def test_a_gate_that_is_not_i_plus_b_is_refused(self, conditional):
+        # Party 2 of a series n = 3 batch, after an open outcome: r2 is live
+        # and f2 is pending.
+        swap = Gate(2, np.eye(4)[[0, 2, 1, 3]], "SWAP")
+        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 14), random_state(3, 15)])
+        net.local_measure(1, "f1", HAD, Unforced(0))
+        net.send_cbit(1, 2, Unforced(0), "f1")
+
+        def snapshot():
+            return (_live(net), set(net._pending), net.ledger.copy(), list(net._split))
+
+        register, before = net.register.copy(), snapshot()
+        for labels in (["r2", "d2"], ["d2", "f2"]):
+            with pytest.raises(ValueError, match="I ⊕ b"):
+                if conditional:
+                    net.apply_if(2, swap, labels, ["f1"])
+                else:
+                    net.local_apply(2, swap, labels)
+            np.testing.assert_array_equal(net.register, register)
+            assert snapshot() == before
+
     def test_a_measured_label_is_held_by_no_party(self):
         net = build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])
         net.local_measure(1, "f1", COMP, 0)
@@ -703,8 +734,8 @@ class TestIndependentNetworks:
         np.testing.assert_array_equal(net.state.amplitudes, state.amplitudes)
 
 
-# Every gate kind the protocols use, a Haar controlled-payload, and a
-# two-qubit gate that is not of the form I + b, which takes the dense path.
+# Every gate kind the protocols use and a Haar controlled-payload, each of
+# the form I ⊕ b: the only gates a network applies.
 KERNEL_GATES = {
     "X": pauli_x(),
     "Z": pauli_z(),
@@ -713,7 +744,6 @@ KERNEL_GATES = {
     "CCX": controlled(pauli_x(), 2),
     "CH": controlled(hadamard(), 1),
     "CU": controlled(random_unitary(17), 1),
-    "SWAP": Gate(2, np.eye(4)[[0, 2, 1, 3]], "SWAP"),
 }
 
 

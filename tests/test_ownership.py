@@ -2,6 +2,7 @@
 out once per object, however many other specs and gates are in use between
 two uses of it."""
 
+import dataclasses
 from collections import Counter
 
 from telegate import (
@@ -37,13 +38,15 @@ def test_each_spec_builds_its_op_list_once(monkeypatch):
     for family in FAMILIES:
         protocols._batch_order(family, 3)  # keyed by (family, n), built before counting
     built = Counter()
-    for family, builder in list(protocols._OPS_BY_FAMILY.items()):
+    for family, record in list(protocols._PROTOCOLS.items()):
 
-        def counted(n, cu, builder=builder):
+        def counted(n, cu, builder=record.build):
             built[cu.label] += 1
             return builder(n, cu)
 
-        monkeypatch.setitem(protocols._OPS_BY_FAMILY, family, counted)
+        monkeypatch.setitem(
+            protocols._PROTOCOLS, family, dataclasses.replace(record, build=counted)
+        )
     psi = random_state(3, 0)
     for _ in range(2):
         for spec in specs:

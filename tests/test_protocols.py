@@ -28,7 +28,6 @@ from telegate import (
     random_state,
     random_unitary,
     run_protocol,
-    topology_for,
     verify_inputs,
 )
 from telegate.cli import record_trace
@@ -504,7 +503,7 @@ class TestDegenerateTwoParty:
         psi = random_state(2, 41)
         expected = oracle_effect(spec, psi)
         for branch in _branches(2):
-            net = build_batch(topology_for(family), 2, [psi])
+            net = spec.network([psi])
             out = run_protocol(spec, net, branch)
             assert fidelity_up_to_phase(out, expected) >= 1 - 1e-10
             assert (net.ledger.ebits, net.ledger.cbits) == (1, 2)
@@ -552,10 +551,10 @@ class TestLinearity:
         branch = (1, 0, 0, 1)
         basis_outputs = []
         for idx in range(8):
-            net = build_batch(topology_for(family), 3, [basis_state(3, format(idx, "03b"))])
+            net = spec.network([basis_state(3, format(idx, "03b"))])
             basis_outputs.append(run_protocol(spec, net, branch).amplitudes)
         coeffs = random_coefficients(61)
-        net = build_batch(topology_for(family), 3, [StateVector(3, coeffs)])
+        net = spec.network([StateVector(3, coeffs)])
         combined = run_protocol(spec, net, branch)
         weighted = sum(c * out for c, out in zip(coeffs, basis_outputs))
         assert (
@@ -570,7 +569,7 @@ class TestEntanglementPreservation:
         spec = ProtocolSpec(family, 3, payload)
         psi = random_state(3, 62)  # generically entangled
         ideal = oracle_effect(spec, psi)
-        net = build_batch(topology_for(family), 3, [psi])
+        net = spec.network([psi])
         out = run_protocol(spec, net, (1, 1, 0, 1))
         for q in range(3):
             assert abs(single_qubit_purity(out, q) - single_qubit_purity(ideal, q)) < 1e-10

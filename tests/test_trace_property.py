@@ -28,7 +28,6 @@ from telegate import (
     random_involution,
     random_state,
     random_unitary,
-    topology_for,
 )
 from telegate.cli import _normalized_events, _pairs_to_amplitudes, main, record_trace
 from telegate.protocols import LocalGate
@@ -61,7 +60,7 @@ def _apply_events(spec, state, events) -> np.ndarray:
     """The register after ``events`` alone, each gate as a dense embedded
     matrix and each measurement as a brute-force projection whose Born
     probability must be the recorded one."""
-    net = with_all_pairs(build_batch(topology_for(spec.family), spec.n, [state]))
+    net = with_all_pairs(spec.network([state]))
     register = net.state
     labels = [net.label_at(i) for i in range(register.num_qubits)]
     gates = {op.gate.label: op.gate for op in spec.ops if isinstance(op, LocalGate)}

@@ -91,6 +91,22 @@ class TestCosts:
         assert expected_costs(SERIES_CH, 3) == (2, 5)
         assert expected_costs(SERIES_CH, 4) == (3, 9)
 
+    # The paper's abstract, written out: n-1 ebits for every family, and
+    # 2(n-1) cbits, or (n^2+n-2)/2 for the series controlled-Hermitian gate.
+    PAPER_CBITS = {
+        "parallel-cu": lambda n: 2 * (n - 1),
+        "series-ch": lambda n: (n**2 + n - 2) / 2,
+        "series-ncu": lambda n: 2 * (n - 1),
+    }
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_the_table_is_the_abstracts_formula_up_to_200_parties(self, family):
+        # runs reach n = 8 at most, so only this pins the table beyond it
+        for n in range(2, 201):
+            ebits, cbits = expected_costs(family, n)
+            assert type(ebits) is int and type(cbits) is int
+            assert (ebits, cbits) == (n - 1, self.PAPER_CBITS[family.value](n))
+
     def test_check_costs_exact_integer_match(self):
         spec = ProtocolSpec(SERIES_CH, 4, hadamard())
         assert check_costs(spec, CostLedger(ebits=3, cbits=9))
@@ -278,13 +294,13 @@ class TestUniformity:
 
 class TestDeterminismAcrossBranches:
     def test_branch_outputs_are_pairwise_identical(self):
-        from telegate import build_batch, run_protocol, topology_for
+        from telegate import run_protocol
 
         spec = ProtocolSpec(PARALLEL, 3, random_unitary(16))
         psi = random_state(3, 16)
         outputs = []
         for branch in itertools.product((0, 1), repeat=4):
-            net = build_batch(topology_for(PARALLEL), 3, [psi])
+            net = spec.network([psi])
             outputs.append(run_protocol(spec, net, branch))
         for a, b in itertools.combinations(outputs, 2):
             assert fidelity_up_to_phase(a, b) >= 1 - 1e-10
@@ -292,11 +308,11 @@ class TestDeterminismAcrossBranches:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_cost_formulas_hold_out_to_six_parties(self, family):
         # one complete branch per size is enough: the ledger is outcome-free
-        from telegate import build_batch, run_protocol, topology_for
+        from telegate import run_protocol
 
         for n in range(2, 7):
             spec = ProtocolSpec(family, n, _payload_for(family, seed=17))
-            net = build_batch(topology_for(family), n, [basis_state(n, "0" * n)])
+            net = spec.network([basis_state(n, "0" * n)])
             run_protocol(spec, net, [0] * (2 * (n - 1)))
             assert check_costs(spec, net.ledger)
             assert (net.ledger.ebits, net.ledger.cbits) == expected_costs(family, n)
