@@ -575,6 +575,27 @@ class TestEntanglementPreservation:
             assert abs(single_qubit_purity(out, q) - single_qubit_purity(ideal, q)) < 1e-10
 
 
+class TestSpecNetwork:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_each_call_builds_a_fresh_network_of_the_family_topology(self, family):
+        # parallel-cu shares its Bell pairs from the target; both series
+        # families relay them along the chain
+        kind = TopologyKind.PARALLEL if family is PARALLEL else TopologyKind.SERIES
+        spec = ProtocolSpec(family, 3, _payload_for(family))
+        inputs = [random_state(3, 73), random_state(3, 74)]
+        rows = np.array([state.amplitudes for state in inputs])
+        first, second = spec.network(inputs), spec.network(inputs)
+        for net in (first, second):
+            assert (net.topology.kind, net.n) == (kind, 3)
+            np.testing.assert_array_equal(net.register, rows)
+            # the n - 1 Bell pairs are booked up front; no bit is sent yet
+            assert (net.ledger.ebits, net.ledger.cbits) == (2, 0)
+        assert not np.shares_memory(first.register, second.register)
+        run_protocol(spec, first, None)
+        np.testing.assert_array_equal(second.register, rows)
+        np.testing.assert_array_equal([state.amplitudes for state in inputs], rows)
+
+
 class TestRunErrors:
     def test_parallel_runner_rejects_series_network(self):
         net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 71)])
