@@ -28,12 +28,7 @@ from .statevector import (
     fidelity_up_to_phase,
     random_state,
 )
-from .network import (
-    CostLedger,
-    Network,
-    TopologyKind,
-    build_batch,
-)
+from .network import CostLedger, Network
 from .protocols import (
     ProtocolFamily,
     ProtocolSpec,
@@ -77,8 +72,6 @@ __all__ = [
     "random_state",
     "CostLedger",
     "Network",
-    "TopologyKind",
-    "build_batch",
     "ProtocolFamily",
     "ProtocolSpec",
     "measurement_schedule",

@@ -1,8 +1,8 @@
 """LOCC world model: parties, Bell-pair distribution, and a classical bus.
 
 A :class:`Network` owns the joint statevector, a qubit-ownership map, the
-entanglement topology, and a message bus: one map from (recipient, tag) to
-bit, each (sender, recipient) delivery counted as one classical bit.  Local
+Bell pairs it is built on, and a message bus: one map from (recipient, tag)
+to bit, each (sender, recipient) delivery counted as one classical bit.  Local
 operations are gated by ownership: a party touching a qubit it does not hold
 raises :class:`LocalityViolation`, which is the core safety property of the
 model.  The register holds one row per input and branch: a measurement
@@ -40,9 +40,9 @@ operation leaves the network unchanged.  With n parties (party n is the
 target), the register starts as the data qubits ``d1 ... dn`` in party
 order, and each Bell pair joins it at the front when an operation first
 names either of its labels: ``label_a`` becomes qubit 0 and ``label_b``
-qubit 1, and every live qubit moves up by two.  The pairs are ``ei``
-(control party i) and ``ti`` (the target) in the parallel topology, ``fi``
-(party i) and ``r{i+1}`` (party i+1) in the series one.  Until then a pair
+qubit 1, and every live qubit moves up by two.  The pairs are those the
+network is built on, which a protocol declares (see
+:mod:`telegate.protocols`).  Until then a pair
 is counted in the ledger but holds no amplitudes, so early operations act
 on smaller arrays.  A protocol measures a pair's first half soon after the
 pair joins, while it is still qubit 0, and an unforced measurement of qubit
@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -69,16 +68,11 @@ from .errors import ImpossibleBranchError, LocalityViolation, MissingMessage
 from .gates import Gate, _Block, _block
 from .statevector import IMPOSSIBLE_CUTOFF, MeasurementBasis, StateVector, _check_targets
 
-# Largest register (3n - 2 qubits) any network may allocate: 2^22 amplitudes,
-# 64 MiB per input, so n <= 8.
+# Largest register (n data qubits and two per Bell pair) any network may
+# allocate: 2^22 amplitudes, 64 MiB per input, so n <= 8 on n-1 pairs.
 MAX_REGISTER_QUBITS = 22
 
 _SQRT_HALF = 1 / math.sqrt(2)
-
-
-class TopologyKind(Enum):
-    PARALLEL = "parallel"
-    SERIES = "series"
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,20 +86,13 @@ class BellEdge:
     label_b: str
 
 
-@dataclass(frozen=True, slots=True)
-class Topology:
-    kind: TopologyKind
-    n: int
-    bell_pairs: tuple[BellEdge, ...]
-
-
 @dataclass(slots=True)
 class CostLedger:
     """Entanglement and classical-communication accounting for one run.
 
-    ``ebits`` is fixed at build time (protocols consume entanglement, never
-    create it); ``cbits`` counts each (sender, recipient, bit) delivery, so a
-    broadcast to k recipients costs k.
+    ``ebits`` is fixed at build time, one per distributed Bell pair
+    (protocols consume entanglement, never create it); ``cbits`` counts each
+    (sender, recipient, bit) delivery, so a broadcast to k recipients costs k.
     """
 
     ebits: int = 0
@@ -116,7 +103,8 @@ class CostLedger:
 
 
 def register_qubits(n: int) -> int:
-    """Register size of an n-party network: n data qubits plus n-1 Bell pairs."""
+    """Register size of an n-party protocol's network: n data qubits plus the
+    n-1 Bell pairs every family distributes."""
     return 3 * n - 2
 
 
@@ -278,7 +266,8 @@ def _apply(
 
 
 class Network:
-    """Mutable protocol-execution context for an n-party network of ``kind``.
+    """Mutable protocol-execution context for n parties sharing the Bell
+    pairs ``edges``, one register row per state of ``inputs``.
 
     The register is one ``(rows, 2^qubits)`` array over the live qubits (see
     the module docstring for their order), one row per input at first.  A
@@ -289,44 +278,58 @@ class Network:
     :attr:`register`, :attr:`probabilities` and :attr:`impossible` show them
     in the written order of their :class:`Unforced` indices.  Rows are never
     renormalized: a row's squared norm is its branch probability.  The
-    array is a C-contiguous copy of ``register``, whatever has run, so gates
-    reshape it into views and never write to the caller's array.  Ownership
-    and inbox checks run once per operation whatever the rows and bits;
-    ownership is read from the label map, so it follows the register as
-    measured qubits leave it.  A gate that is not I ⊕ b is refused with
-    ``ValueError`` once its targets are checked.  The ledger starts with the
-    n-1 distributed ebits.
+    inputs' amplitudes are stacked once into a fresh C-contiguous array,
+    which is the register, so gates reshape it into views and no input is
+    written to.  Ownership and inbox checks run once per operation whatever
+    the rows and bits; ownership is read from the label map, so it follows
+    the register as measured qubits leave it.  A gate that is not I ⊕ b is
+    refused with ``ValueError`` once its targets are checked.  The ledger
+    starts with one ebit per pair of ``edges``, :attr:`bell_pairs`.
 
-    Construction refuses, with ``ValueError``, an n that is not an integer
-    (a bool is not one), n < 2, a register over :data:`MAX_REGISTER_QUBITS`
-    and a ``register`` that is not a 2-D array of at least one row of
-    ``2^n`` amplitudes.
+    Construction refuses with ``ValueError``, in this order and before
+    anything is allocated: an n that is not an integer (a bool is not one),
+    n < 2, an edge that does not join two different parties of 1..n, a pair
+    label that repeats or is a data label ``d1 ... dn``, a register of
+    n + 2·len(edges) qubits over :data:`MAX_REGISTER_QUBITS`, no inputs and
+    an input that is not of n qubits.
     """
 
-    def __init__(self, kind: TopologyKind, n: int, register: np.ndarray):
+    def __init__(self, n: int, edges: Sequence[BellEdge], inputs: Sequence[StateVector]):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"n must be an integer, got {n!r}")
         if n < 2:
             raise ValueError(f"need at least 2 parties, got n={n}")
-        check_register_size(n)
-        amps = np.array(register, dtype=np.complex128, order="C")
-        if amps.ndim != 2 or amps.shape[0] < 1 or amps.shape[1] != 1 << n:
-            raise ValueError(
-                f"register must hold rows of {1 << n} amplitudes, at least one, "
-                f"got shape {amps.shape}"
-            )
-        self.n = n
-        self.topology = Topology(kind, n, _bell_edges(kind, n))
-        self.ledger = CostLedger(ebits=n - 1)
-        self._amps = amps
-        self._labels = [f"d{i}" for i in range(1, n + 1)]
-        self._owner = {f"d{i}": i for i in range(1, n + 1)}
+        edges = tuple(edges)
+        parties = range(1, n + 1)
+        self._owner = {f"d{i}": i for i in parties}
         # Bell pairs not yet in the register, by the label of either half.
         self._pending: dict[str, BellEdge] = {}
-        for edge in self.topology.bell_pairs:
-            self._owner[edge.label_a] = edge.party_a
-            self._owner[edge.label_b] = edge.party_b
-            self._pending[edge.label_a] = self._pending[edge.label_b] = edge
+        for edge in edges:
+            a, b = edge.party_a, edge.party_b
+            if a == b or a not in parties or b not in parties:
+                raise ValueError(f"{edge} does not join two different parties of 1..{n}")
+            for party, label in ((a, edge.label_a), (b, edge.label_b)):
+                if label in self._owner:
+                    raise ValueError(f"Bell pair label {label!r} repeats or is a data label")
+                self._owner[label] = party
+                self._pending[label] = edge
+        qubits = n + 2 * len(edges)
+        if qubits > MAX_REGISTER_QUBITS:
+            raise ValueError(
+                f"{n} parties and {len(edges)} Bell pairs need a {qubits}-qubit register "
+                f"(2^{qubits + 4} bytes per input); the limit is {MAX_REGISTER_QUBITS} qubits"
+            )
+        if not inputs:
+            raise ValueError("need at least one input state")
+        for state in inputs:
+            if state.num_qubits != n:
+                raise ValueError(f"input state has {state.num_qubits} qubits, expected {n}")
+        amps = np.stack([state.amplitudes for state in inputs])
+        self.n = n
+        self.bell_pairs = edges
+        self.ledger = CostLedger(ebits=len(edges))
+        self._amps = amps
+        self._labels = [f"d{i}" for i in parties]
         # The bit delivered to each recipient under each tag; the first one kept.
         self._inbox: dict[tuple[int, str], int | Unforced] = {}
         # Written indices of the unforced outcomes taken, in the order taken:
@@ -554,27 +557,3 @@ class Network:
         except KeyError:
             raise MissingMessage(f"party {party_id} has no message tagged {tag!r}") from None
 
-
-def _bell_edges(kind: TopologyKind, n: int) -> tuple[BellEdge, ...]:
-    """The n-1 Bell pairs of a topology, in order of the control party."""
-    if kind is TopologyKind.PARALLEL:
-        return tuple(BellEdge(i, f"e{i}", n, f"t{i}") for i in range(1, n))
-    return tuple(BellEdge(i, f"f{i}", i + 1, f"r{i + 1}") for i in range(1, n))
-
-
-def build_batch(kind: TopologyKind, n: int, inputs: Sequence[StateVector]) -> Network:
-    """Distribute n-1 Bell pairs around each input, one register row per input.
-
-    The register starts as the data qubits ``d1 ... dn`` (qubit i-1 of an
-    input belongs to party i); each pair joins it when first named (see
-    the module docstring).  The ledger already accounts for the n-1
-    distributed ebits.  A run of a protocol that leaves every outcome
-    :class:`Unforced` covers every branch of every input.
-    """
-    for state in inputs:
-        if state.num_qubits != n:
-            raise ValueError(f"input state has {state.num_qubits} qubits, expected {n}")
-    if not inputs:
-        raise ValueError("need at least one input state")
-
-    return Network(kind, n, np.stack([state.amplitudes for state in inputs]))

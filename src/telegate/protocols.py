@@ -55,15 +55,7 @@ import numpy as np
 from .errors import InvolutionRequired, TopologyMismatch
 from .gates import Gate, controlled, pauli_x, pauli_z
 from .gates import validate as validate_gate
-from .network import (
-    Network,
-    TopologyKind,
-    Unforced,
-    _bell_edges,
-    _is_bit,
-    build_batch,
-    check_register_size,
-)
+from .network import BellEdge, Network, Unforced, _is_bit, check_register_size
 from .statevector import MeasurementBasis, StateVector, _apply_matrix
 
 _X = pauli_x()
@@ -133,9 +125,9 @@ class ProtocolSpec:
         return self._ops
 
     def network(self, inputs: Sequence[StateVector]) -> Network:
-        """A fresh network of this family's topology holding ``inputs``, one
-        register row each (see :func:`~telegate.network.build_batch`)."""
-        return build_batch(_PROTOCOLS[self.family].topology, self.n, inputs)
+        """A fresh network on this family's Bell pairs holding ``inputs``, one
+        register row each."""
+        return Network(self.n, _PROTOCOLS[self.family].edges(self.n), inputs)
 
 
 def _require_involution(spec: ProtocolSpec) -> None:
@@ -172,6 +164,20 @@ class Measure:
 
 
 Op = LocalGate | Measure
+
+
+@functools.cache
+def _star(n: int) -> tuple[BellEdge, ...]:
+    """The parallel distribution: each control party i shares a Bell pair
+    with the target, holding half ``e{i}`` while the target holds ``t{i}``."""
+    return tuple(BellEdge(i, f"e{i}", n, f"t{i}") for i in range(1, n))
+
+
+@functools.cache
+def _path(n: int) -> tuple[BellEdge, ...]:
+    """The series distribution: a path of Bell pairs ending at the target,
+    party i holding half ``f{i}`` and party i+1 half ``r{i+1}``."""
+    return tuple(BellEdge(i, f"f{i}", i + 1, f"r{i + 1}") for i in range(1, n))
 
 
 def _parallel_ops(n: int, cu: Gate) -> list[Op]:
@@ -257,13 +263,13 @@ def _series_ncu_ops(n: int, cu: Gate) -> list[Op]:
 
 @dataclass(frozen=True, slots=True)
 class _Protocol:
-    """What a family means: its Bell-pair topology, its op-list builder (from
-    n and the controlled payload), whether the payload fires on the AND of
-    the controls (else once per set control bit), its closed-form cbit cost
-    for n parties (every family spends n-1 ebits) and whether it needs an
-    involutory payload."""
+    """What a family means: its Bell pairs for n parties, its op-list builder
+    (from n and the controlled payload), whether the payload fires on the AND
+    of the controls (else once per set control bit), its closed-form cbit
+    cost for n parties (every family spends n-1 ebits) and whether it needs
+    an involutory payload."""
 
-    topology: TopologyKind
+    edges: Callable[[int], tuple[BellEdge, ...]]
     build: Callable[[int, Gate], list[Op]]
     fires_on_and: bool
     cbits: Callable[[int], int]
@@ -272,13 +278,13 @@ class _Protocol:
 
 _PROTOCOLS: dict[ProtocolFamily, _Protocol] = {
     ProtocolFamily.PARALLEL_SIMULTANEOUS_CU: _Protocol(
-        TopologyKind.PARALLEL, _parallel_ops, False, lambda n: 2 * (n - 1), False
+        _star, _parallel_ops, False, lambda n: 2 * (n - 1), False
     ),
     ProtocolFamily.SERIES_SIMULTANEOUS_CH: _Protocol(
-        TopologyKind.SERIES, _series_ch_ops, False, lambda n: (n * n + n - 2) // 2, True
+        _path, _series_ch_ops, False, lambda n: (n * n + n - 2) // 2, True
     ),
     ProtocolFamily.SERIES_N_CONTROLLED_U: _Protocol(
-        TopologyKind.SERIES, _series_ncu_ops, True, lambda n: 2 * (n - 1), False
+        _path, _series_ncu_ops, True, lambda n: 2 * (n - 1), False
     ),
 }
 
@@ -298,7 +304,7 @@ def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple
     protocol = _PROTOCOLS[family]
     ops = protocol.build(n, _CX)
     pair = {}
-    for i, edge in enumerate(_bell_edges(protocol.topology, n)):
+    for i, edge in enumerate(protocol.edges(n)):
         pair[edge.label_a] = pair[edge.label_b] = i
     successors: list[list[int]] = [[] for _ in ops]
     waiting = [0] * len(ops)
@@ -390,11 +396,11 @@ def _checked_run(
     involution requirement and the branch, then run.  Returns what each
     measurement returned in written order: its conditional probability on
     one row given a branch."""
-    kind = _PROTOCOLS[spec.family].topology
-    if net.topology.kind is not kind or net.n != spec.n:
+    edges = _PROTOCOLS[spec.family].edges(spec.n)
+    if net.n != spec.n or net.bell_pairs != edges:
         raise TopologyMismatch(
-            f"{spec.family.value} n={spec.n} needs a {kind.value} network of {spec.n} "
-            f"parties, got a {net.topology.kind.value} network of {net.n}"
+            f"{spec.family.value} n={spec.n} needs a network of {spec.n} parties on its "
+            f"{len(edges)} Bell pairs, got {net.n} parties on {len(net.bell_pairs)} pairs"
         )
     if enforce_involution:
         _require_involution(spec)

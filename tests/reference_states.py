@@ -6,11 +6,12 @@ directly from the ket expansions (bitstring -> index into the input
 amplitudes d_0..d_7).  Tests compare simulator output against these literal
 transcriptions rather than against code that shares logic with the simulator.
 
-They are written in the paper's register layout (:func:`paper_layout`).  A
-network starts from the data qubits and appends each Bell pair when it is
-first named, so tests read its live register in the paper's order through
-:func:`in_paper_order`, after :func:`with_all_pairs` where every pair must be
-in.
+They are written in the paper's register layout (:func:`paper_layout`) on
+the paper's two distributions, :func:`star` and :func:`path`, transcribed
+here apart from the package.  A network starts from the data qubits and
+joins each Bell pair when it is first named, so tests read its live register
+in the paper's order through :func:`in_paper_order`, after
+:func:`with_all_pairs` where every pair must be in.
 """
 
 from __future__ import annotations
@@ -19,27 +20,43 @@ import math
 
 import numpy as np
 
-from telegate import Network, StateVector, TopologyKind
+from telegate import Network, StateVector
+from telegate.network import BellEdge
 
 
-def paper_layout(kind: TopologyKind, n: int) -> list[str]:
-    """The paper's register order with n parties (party n is the target).
+def star(n: int) -> tuple[BellEdge, ...]:
+    """The parallel distribution: control party i and the target n share
+    the pair ``e{i}``/``t{i}``, for i = 1 .. n-1."""
+    return tuple(BellEdge(i, f"e{i}", n, f"t{i}") for i in range(1, n))
 
-    * parallel: ``d1 e1 d2 e2 ... d{n-1} e{n-1} t1 ... t{n-1} dn``
-    * series: ``d1 f1 | r2 d2 f2 | ... | rn dn``
+
+def path(n: int) -> tuple[BellEdge, ...]:
+    """The series distribution: party i and party i+1 share the pair
+    ``f{i}``/``r{i+1}``, for i = 1 .. n-1, so the path ends at the target."""
+    return tuple(BellEdge(i, f"f{i}", i + 1, f"r{i + 1}") for i in range(1, n))
+
+
+def paper_layout(edges: tuple[BellEdge, ...], n: int) -> list[str]:
+    """The paper's register order with n parties (party n is the target):
+    party by party, the halves each shares with a lower party, its data
+    qubit, then the halves it shares with a higher party.
+
+    * :func:`star`: ``d1 e1 d2 e2 ... d{n-1} e{n-1} t1 ... t{n-1} dn``
+    * :func:`path`: ``d1 f1 | r2 d2 f2 | ... | rn dn``
     """
-    if kind is TopologyKind.PARALLEL:
-        order = [label for i in range(1, n) for label in (f"d{i}", f"e{i}")]
-        return order + [f"t{i}" for i in range(1, n)] + [f"d{n}"]
-    order = ["d1", "f1"]
-    for i in range(2, n):
-        order += [f"r{i}", f"d{i}", f"f{i}"]
-    return order + [f"r{n}", f"d{n}"]
+    halves = [(e.party_a, e.label_a, e.party_b) for e in edges]
+    halves += [(e.party_b, e.label_b, e.party_a) for e in edges]
+    order = []
+    for p in range(1, n + 1):
+        order += [label for party, label, peer in halves if party == p and peer < p]
+        order.append(f"d{p}")
+        order += [label for party, label, peer in halves if party == p and peer > p]
+    return order
 
 
 def with_all_pairs(net: Network) -> Network:
     """``net`` with every Bell pair tensored in, so all 3n - 2 qubits are live."""
-    for edge in net.topology.bell_pairs:
+    for edge in net.bell_pairs:
         net.qubit_index(edge.label_a)
     return net
 
@@ -48,7 +65,7 @@ def in_paper_order(net: Network) -> np.ndarray:
     """The register's rows with its live qubits permuted into the paper's
     layout; labels of the layout that are not live are skipped, and no pair
     is tensored in."""
-    order = paper_layout(net.topology.kind, net.n)
+    order = paper_layout(net.bell_pairs, net.n)
     rows, size = net.register.shape
     live = [net.label_at(i) for i in range(size.bit_length() - 1)]
     axes = [live.index(label) for label in order if label in live]

@@ -22,7 +22,6 @@ from telegate import (
     ProtocolFamily,
     ProtocolSpec,
     basis_state,
-    build_batch,
     random_involution,
     random_state,
     random_unitary,

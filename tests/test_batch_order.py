@@ -2,8 +2,8 @@
 
 ``verify._force_all`` runs in an order derived from the op list, on a network
 that starts from the data qubits.  Its probabilities, fidelities,
-impossibility flags and ledger must equal those of a ``build_batch`` run in
-written order, and its register must stay small until the pairs it needs
+impossibility flags and ledger must equal those of a run in written order
+on the spec's own network, and its register must stay small until the pairs it needs
 are in.
 """
 
@@ -27,8 +27,9 @@ from telegate import (
     run_protocol,
 )
 from telegate import verify
-from telegate.network import Network, TopologyKind, Unforced, build_batch
+from telegate.network import Network, Unforced
 from telegate.protocols import LocalGate, Measure, _batch_order, _interpret
+from reference_states import star
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
 SERIES_CH = ProtocolFamily.SERIES_SIMULTANEOUS_CH
@@ -160,7 +161,7 @@ def test_outcome_bits_taken_out_of_order_land_in_written_order():
     inputs = [basis_state(3, "101"), random_state(3, 340)]
     nets = []
     for order in ([0, 1, 2], [2, 0, 1]):
-        net = build_batch(TopologyKind.PARALLEL, 3, inputs)
+        net = Network(3, star(3), inputs)
         net.local_apply(1, CX, ["d1", "e1"])
         for w in order:
             owner, label, basis = written[w]

@@ -30,8 +30,9 @@ from telegate import (
     verify_inputs,
 )
 from telegate import verify
-from telegate.network import TopologyKind, Unforced, build_batch
+from telegate.network import Network, Unforced
 from telegate.protocols import _interpret
+from reference_states import path, star
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
 SERIES_CH = ProtocolFamily.SERIES_SIMULTANEOUS_CH
@@ -102,10 +103,10 @@ def test_non_involutory_series_ch_matches_its_forced_run(n):
 def test_impossible_outcome_is_flagged_like_the_forced_run():
     # d1 of |000> is 0 for certain, so outcome 1 is impossible
     state = basis_state(3, "000")
-    net = build_batch(TopologyKind.SERIES, 3, [state])
+    net = Network(3, path(3), [state])
     with pytest.raises(ImpossibleBranchError):
         net.local_measure(1, "d1", MeasurementBasis.COMPUTATIONAL, 1)
-    batch = build_batch(TopologyKind.SERIES, 3, [state])
+    batch = Network(3, path(3), [state])
     batch.local_measure(1, "d1", MeasurementBasis.COMPUTATIONAL, Unforced(0))
     assert batch.impossible.tolist() == [False, True]
     np.testing.assert_allclose(batch.probabilities, [1.0, 0.0], atol=ATOL)
@@ -153,12 +154,12 @@ def test_a_forced_first_outcome_keeps_that_half_of_the_unforced_run(family):
 
 class TestBatchChecks:
     def test_apply_if_on_a_missing_tag_raises(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 1)])
+        net = Network(3, star(3), [random_state(3, 1)])
         with pytest.raises(MissingMessage):
             net.apply_if(3, pauli_x(), ["t1"], ["e1"])
 
     def test_apply_if_on_a_foreign_qubit_raises(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 1)])
+        net = Network(3, star(3), [random_state(3, 1)])
         net.local_measure(1, "e1", MeasurementBasis.COMPUTATIONAL, Unforced(0))
         net.send_cbit(1, 3, Unforced(0), "e1")
         with pytest.raises(LocalityViolation):
@@ -167,7 +168,7 @@ class TestBatchChecks:
     @pytest.mark.parametrize("index", [-1, 2])
     def test_an_unforced_index_is_fresh_and_written(self, index):
         # written index 2 is already measured; the refusal leaves the register be
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 2)])
+        net = Network(3, star(3), [random_state(3, 2)])
         comp = MeasurementBasis.COMPUTATIONAL
         net.local_measure(1, "e1", comp, Unforced(2))
         e2 = net.qubit_index("e2")
@@ -179,7 +180,7 @@ class TestBatchChecks:
         assert net.label_at(e2) == "e2"
 
     def test_only_a_measured_unforced_outcome_is_sent(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 2)])
+        net = Network(3, star(3), [random_state(3, 2)])
         net.local_measure(1, "e1", MeasurementBasis.COMPUTATIONAL, Unforced(3))
         for index in (0, 2, 4):
             with pytest.raises(ValueError):

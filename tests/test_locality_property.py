@@ -32,8 +32,8 @@ def _cases(draw):
     party = draw(st.integers(1, n + 1))  # n + 1 is no party
     # every label the network ever has, and one no network has
     spec = ProtocolSpec(family, n, hadamard())
-    kind = spec.network([random_state(n, 0)]).topology.kind
-    label = draw(st.sampled_from(paper_layout(kind, n) + ["q0"]))
+    edges = spec.network([random_state(n, 0)]).bell_pairs
+    label = draw(st.sampled_from(paper_layout(edges, n) + ["q0"]))
     schedule = measurement_schedule(spec)
     prefix = schedule[: draw(st.integers(0, len(schedule)))]
     if draw(st.booleans()):  # a batch, its outcomes left open

@@ -13,7 +13,6 @@ from telegate import (
     MissingMessage,
     Network,
     StateVector,
-    TopologyKind,
     basis_state,
     controlled,
     hadamard,
@@ -22,7 +21,7 @@ from telegate import (
     random_state,
     random_unitary,
 )
-from telegate.network import Unforced, _apply, build_batch
+from telegate.network import BellEdge, Unforced, _apply
 from telegate.statevector import _apply_matrix
 from conftest import (
     computational_projector_probability,
@@ -32,8 +31,10 @@ from conftest import (
 from reference_states import (
     in_paper_order,
     parallel_register_state,
+    path,
     random_coefficients,
     series_register_state,
+    star,
     with_all_pairs,
 )
 
@@ -41,7 +42,7 @@ COMP = MeasurementBasis.COMPUTATIONAL
 HAD = MeasurementBasis.HADAMARD
 X = pauli_x()
 CX = controlled(pauli_x())
-KINDS = [TopologyKind.PARALLEL, TopologyKind.SERIES]
+DISTRIBUTIONS = [star, path]
 
 ZERO = np.array([1, 0], dtype=complex)
 MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
@@ -64,7 +65,7 @@ def _live(net):
 class TestBuildNetwork:
     def test_parallel_three_party_register(self):
         d = random_coefficients(1)
-        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)]))
+        net = with_all_pairs(Network(3, star(3), [StateVector(3, d)]))
         np.testing.assert_allclose(
             in_paper_order(net)[0], parallel_register_state(d).amplitudes, atol=1e-12
         )
@@ -72,34 +73,34 @@ class TestBuildNetwork:
 
     def test_series_three_party_register(self):
         d = random_coefficients(2)
-        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
+        net = with_all_pairs(Network(3, path(3), [StateVector(3, d)]))
         np.testing.assert_allclose(
             in_paper_order(net)[0], series_register_state(d).amplitudes, atol=1e-12
         )
         assert net.ledger.ebits == 2
 
-    @pytest.mark.parametrize("kind", [TopologyKind.PARALLEL, TopologyKind.SERIES])
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_ebits_equal_edge_count(self, kind, n):
-        net = build_batch(kind, n, [random_state(n, 0)])
+    def test_ebits_equal_edge_count(self, distribution, n):
+        net = Network(n, distribution(n), [random_state(n, 0)])
         assert net.ledger.ebits == n - 1
-        assert len(net.topology.bell_pairs) == n - 1
+        assert len(net.bell_pairs) == n - 1
 
     def test_parallel_edges_all_touch_target_never_each_other(self):
-        net = build_batch(TopologyKind.PARALLEL, 5, [random_state(5, 1)])
-        for edge in net.topology.bell_pairs:
+        net = Network(5, star(5), [random_state(5, 1)])
+        for edge in net.bell_pairs:
             assert edge.party_b == 5
             assert edge.party_a != 5
-        assert len({e.party_a for e in net.topology.bell_pairs}) == 4
+        assert len({e.party_a for e in net.bell_pairs}) == 4
 
     def test_series_edges_form_the_path(self):
-        net = build_batch(TopologyKind.SERIES, 5, [random_state(5, 1)])
-        assert [(e.party_a, e.party_b) for e in net.topology.bell_pairs] == [
+        net = Network(5, path(5), [random_state(5, 1)])
+        assert [(e.party_a, e.party_b) for e in net.bell_pairs] == [
             (1, 2), (2, 3), (3, 4), (4, 5),
         ]
 
     def test_series_ownership_blocks(self):
-        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 3)]))
+        net = with_all_pairs(Network(3, path(3), [random_state(3, 3)]))
         assert net.held_qubits(1) == {"d1", "f1"}
         assert net.held_qubits(2) == {"r2", "d2", "f2"}
         assert net.held_qubits(3) == {"r3", "d3"}
@@ -107,13 +108,13 @@ class TestBuildNetwork:
         assert [net.label_at(i) for i in range(7)] == ["f2", "r3", "f1", "r2", "d1", "d2", "d3"]
 
     def test_parallel_ownership_blocks(self):
-        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 3)]))
+        net = with_all_pairs(Network(3, star(3), [random_state(3, 3)]))
         assert net.held_qubits(1) == {"d1", "e1"}
         assert net.held_qubits(2) == {"d2", "e2"}
         assert net.held_qubits(3) == {"t1", "t2", "d3"}
 
     def test_ownership_is_a_partition(self):
-        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 4, [random_state(4, 4)]))
+        net = with_all_pairs(Network(4, star(4), [random_state(4, 4)]))
         held = [net.held_qubits(p) for p in _parties(net)]
         union = set().union(*held)
         assert union == set(_live(net)) and len(union) == 10
@@ -121,47 +122,71 @@ class TestBuildNetwork:
 
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
-            build_batch(TopologyKind.PARALLEL, 1, [random_state(1, 0)])
+            Network(1, star(1), [random_state(1, 0)])
 
     def test_rejects_input_size_mismatch(self):
         with pytest.raises(ValueError):
-            build_batch(TopologyKind.SERIES, 3, [random_state(2, 0)])
+            Network(3, path(3), [random_state(2, 0)])
+
+
+class _UnreadInputs:
+    """Inputs that fail the test when read: a construction refused before it
+    reads its inputs has stacked no register."""
+
+    def _read(self, *args):
+        raise AssertionError("the inputs were read")
+
+    __bool__ = __len__ = __iter__ = __getitem__ = _read
 
 
 class TestConstruction:
-    """``Network`` itself refuses what ``build_batch`` refuses, before any gate."""
+    """``Network`` refuses bad arguments, in order, before it allocates a register."""
 
     @pytest.mark.parametrize("n", [1, 0, -2, 3.0, True, "3", None, 9])
     def test_a_bad_party_count_is_refused(self, n):
+        # at n = 9 the paper's n - 1 pairs need a 25-qubit register
+        edges = path(9) if n == 9 else ()
         with pytest.raises(ValueError):
-            Network(TopologyKind.SERIES, n, np.ones((1, 8)) / np.sqrt(8))
+            Network(n, edges, _UnreadInputs())
 
-    @pytest.mark.parametrize("shape", [(1, 4), (1, 16), (8,), (0, 8), (1, 2, 4), ()])
-    def test_a_register_not_of_rows_of_2_to_the_n_is_refused(self, shape):
-        with pytest.raises(ValueError, match="rows of 8 amplitudes"):
-            Network(TopologyKind.SERIES, 3, np.ones(shape))
+    @pytest.mark.parametrize(
+        "edge, match",
+        [
+            (BellEdge(2, "x2", 2, "y2"), "two different parties"),
+            (BellEdge(0, "x0", 3, "y3"), "two different parties"),
+            (BellEdge(1, "x1", 4, "y4"), "two different parties"),
+            (BellEdge(1, "d1", 3, "y3"), "'d1' repeats or is a data label"),
+            (BellEdge(1, "x1", 2, "t1"), "'t1' repeats or is a data label"),
+        ],
+        ids=["within-one-party", "party-0", "party-n+1", "data-label", "repeated-label"],
+    )
+    def test_pairs_that_are_not_a_distribution_are_refused(self, edge, match):
+        with pytest.raises(ValueError, match=match):
+            Network(3, star(3) + (edge,), _UnreadInputs())
 
-    def test_a_valid_register_constructs_as_complex_rows(self):
-        rows = np.ones((2, 8), dtype=np.complex64) / np.sqrt(8)
-        net = Network(TopologyKind.PARALLEL, np.int64(3), rows)
+    def test_pairs_past_the_register_limit_are_refused(self):
+        spare = BellEdge(1, "x1", 2, "x2")
+        with pytest.raises(ValueError, match="24-qubit register"):
+            Network(8, path(8) + (spare,), _UnreadInputs())
+        assert Network(8, path(8), [random_state(8, 0)]).ledger.ebits == 7
+
+    def test_no_inputs_are_refused(self):
+        with pytest.raises(ValueError, match="at least one input"):
+            Network(3, star(3), [])
+
+    def test_the_inputs_are_stacked_once_into_the_register(self):
+        inputs = [random_state(3, 0), random_state(3, 1)]
+        net = Network(np.int64(3), star(3), inputs)
         assert net.n == 3 and net.register.dtype == np.complex128
-        np.testing.assert_allclose(net.probabilities, 1.0, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(net.register, np.stack([s.amplitudes for s in inputs]))
+        assert not any(np.shares_memory(net.register, s.amplitudes) for s in inputs)
         net.local_apply(1, CX, ["d1", "e1"])
         assert net.register.shape == (2, 1 << 5)
-
-    def test_the_network_copies_the_register_it_is_given(self):
-        register = np.zeros((1, 4), dtype=np.complex128)
-        register[0, 0] = 1.0
-        net = Network(TopologyKind.SERIES, 2, register)
-        net.local_apply(2, pauli_x(), ["d2"])
-        np.testing.assert_array_equal(register, [[1, 0, 0, 0]])
-        assert not np.shares_memory(register, net.register)
-        np.testing.assert_array_equal(net.register, [[0, 1, 0, 0]])
 
 
 class TestLocalOperations:
     def test_party_may_touch_its_own_qubits(self):
-        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)]))
+        net = with_all_pairs(Network(3, star(3), [random_state(3, 5)]))
         before = net.register.copy()
         targets = [net.qubit_index("d1"), net.qubit_index("e1")]
         net.local_apply(1, CX, ["d1", "e1"])
@@ -169,22 +194,22 @@ class TestLocalOperations:
         np.testing.assert_allclose(net.register, expected, rtol=0, atol=1e-12)
 
     def test_relay_party_controls_both_halves(self):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
+        net = Network(3, path(3), [random_state(3, 5)])
         net.local_apply(2, CX, ["r2", "f2"])
         net.local_apply(2, CX, ["d2", "f2"])
 
     def test_gate_on_foreign_qubit_aborts(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
+        net = Network(3, star(3), [random_state(3, 5)])
         with pytest.raises(LocalityViolation):
             net.local_apply(1, CX, ["d1", "d3"])
 
     def test_measuring_foreign_qubit_aborts(self):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
+        net = Network(3, path(3), [random_state(3, 5)])
         with pytest.raises(LocalityViolation):
             net.local_measure(2, "d3", COMP, 0)
 
     def test_measurement_discards_and_reindexes(self):
-        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 6)]))
+        net = with_all_pairs(Network(3, path(3), [random_state(3, 6)]))
         assert net.qubit_index("r2") == 3  # f2 r3 f1 r2 d1 d2 d3
         net.local_apply(1, CX, ["d1", "f1"])
         net.local_measure(1, "f1", COMP, 0)
@@ -196,7 +221,7 @@ class TestLocalOperations:
 
     def test_forced_bell_half_outcomes_are_fair_coins(self):
         d = random_coefficients(7)
-        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
+        net = with_all_pairs(Network(3, path(3), [StateVector(3, d)]))
         state = net.state
         q = net.qubit_index("f1")
         for outcome in (0, 1):
@@ -204,9 +229,9 @@ class TestLocalOperations:
         q6 = net.qubit_index("r3")
         for outcome in (0, 1):
             assert abs(hadamard_projector_probability(state, q6, outcome) - 0.5) < 1e-10
-        fresh = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
+        fresh = with_all_pairs(Network(3, path(3), [StateVector(3, d)]))
         assert abs(fresh.local_measure(1, "f1", COMP, 0) - 0.5) < 1e-10
-        fresh = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)]))
+        fresh = with_all_pairs(Network(3, path(3), [StateVector(3, d)]))
         assert abs(fresh.local_measure(3, "r3", HAD, 1) - 0.5) < 1e-10
 
 
@@ -215,7 +240,7 @@ class TestCorrections:
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_foreign_or_missing_qubit_raises_whatever_the_bit(self, bit):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
+        net = Network(3, star(3), [random_state(3, 5)])
         net.send_cbit(1, 3, bit, "e1")
         before = net.register.copy()
         # d1 is party 1's; q9 was never a label; an index is not a label
@@ -225,7 +250,7 @@ class TestCorrections:
         np.testing.assert_array_equal(net.register, before)
 
     def test_unknown_party_is_refused(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)])
+        net = Network(3, star(3), [random_state(3, 5)])
         net.send_cbit(1, 3, 0, "e1")
         with pytest.raises(LocalityViolation):
             net.apply_if(99, pauli_x(), ["t1"], ["e1"])
@@ -234,7 +259,7 @@ class TestCorrections:
 
     @pytest.mark.parametrize("bit, fires", [(0, False), (1, True)])
     def test_a_forced_correction_acts_only_when_it_fires(self, bit, fires):
-        net = with_all_pairs(build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 5)]))
+        net = with_all_pairs(Network(3, star(3), [random_state(3, 5)]))
         net.send_cbit(1, 3, bit, "e1")
         before = net.register.copy()
         t1 = net.qubit_index("t1")
@@ -248,9 +273,9 @@ class TestMeasurementBoundary:
 
     @staticmethod
     def _networks():
-        yield with_all_pairs(build_batch(TopologyKind.SERIES, 3, [random_state(3, 8)]))
+        yield with_all_pairs(Network(3, path(3), [random_state(3, 8)]))
         inputs = [random_state(3, 8), random_state(3, 9)]
-        yield with_all_pairs(build_batch(TopologyKind.SERIES, 3, inputs))
+        yield with_all_pairs(Network(3, path(3), inputs))
 
     @pytest.mark.parametrize("basis", ["computational", "hadamard", 0, None])
     def test_basis_must_be_a_measurement_basis(self, basis):
@@ -274,19 +299,19 @@ class TestMeasurementBoundary:
             assert _live(net) == live and "f1" in live
 
     def test_numpy_integer_outcomes_are_bits(self):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 8)])
+        net = Network(3, path(3), [random_state(3, 8)])
         assert abs(net.local_measure(1, "f1", COMP, np.int64(1)) - 0.5) < 1e-10
 
 
 class TestBornRule:
     """Measurement through the live register code against brute-force projectors."""
 
-    @pytest.mark.parametrize("kind", [TopologyKind.PARALLEL, TopologyKind.SERIES])
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("n", [2, 3])
-    def test_every_qubit_both_bases_both_outcomes(self, kind, n, rng):
+    def test_every_qubit_both_bases_both_outcomes(self, distribution, n, rng):
         for _ in range(3):
             psi = random_state(n, rng)
-            register = with_all_pairs(build_batch(kind, n, [psi])).state
+            register = with_all_pairs(Network(n, distribution(n), [psi])).state
             for q in range(register.num_qubits):
                 for basis, born in (
                     (COMP, computational_projector_probability),
@@ -294,7 +319,7 @@ class TestBornRule:
                 ):
                     probabilities = []
                     for outcome in (0, 1):
-                        net = with_all_pairs(build_batch(kind, n, [psi]))
+                        net = with_all_pairs(Network(n, distribution(n), [psi]))
                         label = net.label_at(q)
                         prob = net.local_measure(_owner(net, label), label, basis, outcome)
                         assert abs(prob - born(register, q, outcome)) < 1e-12
@@ -313,7 +338,7 @@ class TestForcedMeasurement:
 
     def test_bell_half_computational_zero(self):
         # series n=2 on |00>: f1 r2 d1 d2 = (|00> + |11>)/sqrt(2) |0> |0>
-        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
+        net = Network(2, path(2), [basis_state(2, "00")])
         prob = net.local_measure(1, "f1", COMP, 0)
         assert abs(prob - 0.5) < 1e-12
         np.testing.assert_allclose(
@@ -321,7 +346,7 @@ class TestForcedMeasurement:
         )
 
     def test_bell_half_hadamard_minus_leaves_partner_in_minus(self):
-        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
+        net = Network(2, path(2), [basis_state(2, "00")])
         prob = net.local_measure(1, "f1", HAD, 1)
         assert abs(prob - 0.5) < 1e-12
         # r2 d1 d2
@@ -331,14 +356,14 @@ class TestForcedMeasurement:
 
     def test_plus_in_hadamard_basis_is_certain(self):
         plus_zero = StateVector(2, np.array([1, 0, 1, 0]) / np.sqrt(2))
-        net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [plus_zero]))
+        net = with_all_pairs(Network(2, path(2), [plus_zero]))
         prob = net.local_measure(1, "d1", HAD, 0)
         assert abs(prob - 1.0) < 1e-12
         # f1 r2 d2
         np.testing.assert_allclose(net.state.amplitudes, np.kron(BELL, ZERO), atol=1e-12)
 
     def test_impossible_outcome_raises_and_leaves_the_register(self):
-        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
+        net = Network(2, path(2), [basis_state(2, "00")])
         before = net.register.copy()
         with pytest.raises(ImpossibleBranchError):
             net.local_measure(1, "d1", COMP, 1)
@@ -351,7 +376,7 @@ class TestForcedMeasurement:
         for _ in range(10):
             psi = random_state(2, rng)
             for outcome in (0, 1):
-                net = build_batch(TopologyKind.SERIES, 2, [psi])
+                net = Network(2, path(2), [psi])
                 net.local_apply(1, CX, ["d1", "f1"])
                 prob = net.local_measure(1, "f1", COMP, outcome)
                 assert abs(prob - 0.5) < 1e-10
@@ -363,9 +388,9 @@ class TestBatchedMeasurement:
     @pytest.mark.parametrize("basis", [COMP, HAD])
     def test_split_rows_sum_to_their_parent_row(self, basis, rng):
         inputs = [random_state(3, rng) for _ in range(3)]
-        for kind in KINDS:
+        for distribution in DISTRIBUTIONS:
             for q in range(7):
-                net = with_all_pairs(build_batch(kind, 3, inputs))
+                net = with_all_pairs(Network(3, distribution(3), inputs))
                 label = net.label_at(q)
                 net.local_measure(_owner(net, label), label, basis, Unforced(0))
                 probabilities = net.probabilities
@@ -376,17 +401,17 @@ class TestBatchedMeasurement:
                 )
                 assert not net.impossible.any()
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_split_rows_are_the_forced_outcomes(self, kind, rng):
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_split_rows_are_the_forced_outcomes(self, distribution, rng):
         inputs = [random_state(3, rng) for _ in range(2)]
         for q in range(7):
             for basis in (COMP, HAD):
-                batch = with_all_pairs(build_batch(kind, 3, inputs))
+                batch = with_all_pairs(Network(3, distribution(3), inputs))
                 label = batch.label_at(q)
                 batch.local_measure(_owner(batch, label), label, basis, Unforced(0))
                 for i, psi in enumerate(inputs):
                     for outcome in (0, 1):
-                        net = with_all_pairs(build_batch(kind, 3, [psi]))
+                        net = with_all_pairs(Network(3, distribution(3), [psi]))
                         prob = net.local_measure(_owner(net, label), label, basis, outcome)
                         row = 2 * i + outcome
                         assert abs(batch.probabilities[row] - prob) < 1e-12
@@ -399,7 +424,7 @@ class TestBatchedMeasurement:
 
     @pytest.mark.parametrize("basis", [COMP, HAD])
     def test_an_unforced_split_of_qubit_0_copies_nothing(self, basis, rng):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, rng) for _ in range(2)])
+        net = Network(3, path(3), [random_state(3, rng) for _ in range(2)])
         net.local_apply(1, CX, ["d1", "f1"])
         assert net.label_at(0) == "f1"
         before = net.register
@@ -407,13 +432,13 @@ class TestBatchedMeasurement:
         assert net.register.shape == (4, 1 << 4)
         assert np.shares_memory(before, net.register)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_batch_rows_are_the_single_registers(self, kind, rng):
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_batch_rows_are_the_single_registers(self, distribution, rng):
         inputs = [random_state(4, rng) for _ in range(3)]
-        batch = with_all_pairs(build_batch(kind, 4, inputs))
+        batch = with_all_pairs(Network(4, distribution(4), inputs))
         assert batch.state is None
         for row, psi in zip(batch.register, inputs):
-            register = with_all_pairs(build_batch(kind, 4, [psi])).state
+            register = with_all_pairs(Network(4, distribution(4), [psi])).state
             np.testing.assert_allclose(row, register.amplitudes, rtol=0, atol=1e-12)
 
 
@@ -422,9 +447,9 @@ class TestForcedRows:
 
     def test_forced_rows_keep_their_branch_probability(self, rng):
         inputs = [random_state(3, rng) for _ in range(3)]
-        for kind in KINDS:
-            batch = with_all_pairs(build_batch(kind, 3, inputs))
-            split = with_all_pairs(build_batch(kind, 3, inputs))
+        for distribution in DISTRIBUTIONS:
+            batch = with_all_pairs(Network(3, distribution(3), inputs))
+            split = with_all_pairs(Network(3, distribution(3), inputs))
             for k, (q, basis) in enumerate(((1, HAD), (4, COMP))):
                 label = batch.label_at(q)
                 assert batch.local_measure(_owner(batch, label), label, basis, 1) is None
@@ -437,7 +462,7 @@ class TestForcedRows:
             assert batch.state is None and not batch.impossible.any()
 
     def test_an_outcome_some_rows_cannot_take_is_flagged(self):
-        batch = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00"), basis_state(2, "10")])
+        batch = Network(2, path(2), [basis_state(2, "00"), basis_state(2, "10")])
         batch.local_measure(1, "d1", COMP, 1)
         assert batch.impossible.tolist() == [True, False]
         np.testing.assert_allclose(batch.probabilities, [0.0, 1.0], atol=1e-12)
@@ -445,7 +470,7 @@ class TestForcedRows:
         assert batch.impossible.tolist() == [True, True, False, False]
 
     def test_an_outcome_no_row_can_take_raises_and_leaves_the_register(self):
-        batch = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00"), basis_state(2, "01")])
+        batch = Network(2, path(2), [basis_state(2, "00"), basis_state(2, "01")])
         before = batch.register.copy()
         with pytest.raises(ImpossibleBranchError):
             batch.local_measure(1, "d1", COMP, 1)
@@ -453,21 +478,21 @@ class TestForcedRows:
         assert batch.label_at(0) == "d1" and not batch.impossible.any()
 
     @pytest.mark.parametrize("outcome", [0, Unforced(0)], ids=["forced", "unforced"])
-    def test_a_network_built_from_a_fortran_ordered_register_measures(self, outcome, rng):
+    def test_a_batch_measures_as_its_inputs_do_alone(self, outcome, rng):
         inputs = [random_state(2, rng) for _ in range(3)]
-        register = np.asfortranarray(np.stack([psi.amplitudes for psi in inputs]))
-        assert not register.flags.c_contiguous
-        net = Network(TopologyKind.SERIES, 2, register)
-        batch = build_batch(TopologyKind.SERIES, 2, inputs)
-        for network in (net, batch):
+        batch = Network(2, path(2), inputs)
+        alone = [Network(2, path(2), [psi]) for psi in inputs]
+        for network in (batch, *alone):
             np.testing.assert_allclose(network.probabilities, 1.0, rtol=0, atol=1e-12)
             network.local_apply(1, CX, ["d1", "f1"])
             network.local_measure(1, "d1", HAD, outcome)
-        np.testing.assert_array_equal(net.register, batch.register)
-        np.testing.assert_array_equal(net.probabilities, batch.probabilities)
+        np.testing.assert_array_equal(batch.register, np.concatenate([a.register for a in alone]))
+        np.testing.assert_array_equal(
+            batch.probabilities, np.concatenate([a.probabilities for a in alone])
+        )
 
     def test_the_state_is_the_normalized_row(self):
-        net = build_batch(TopologyKind.SERIES, 2, [basis_state(2, "00")])
+        net = Network(2, path(2), [basis_state(2, "00")])
         net.local_measure(1, "f1", HAD, 1)
         assert abs(net.probabilities[0] - 0.5) < 1e-12
         # r2 d1 d2
@@ -481,16 +506,16 @@ class TestDiscard:
 
     def test_certain_outcome_leaves_the_rest_unchanged(self):
         # series n=2 on |01>: measuring d2 gives 1 with certainty, leaving f1 r2 d1
-        net = with_all_pairs(build_batch(TopologyKind.SERIES, 2, [basis_state(2, "01")]))
+        net = with_all_pairs(Network(2, path(2), [basis_state(2, "01")]))
         prob = net.local_measure(2, "d2", COMP, 1)
         assert abs(prob - 1.0) < 1e-12
         np.testing.assert_allclose(net.state.amplitudes, np.kron(BELL, ZERO), atol=1e-12)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_later_indices_shift_down_by_one(self, kind):
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_later_indices_shift_down_by_one(self, distribution):
         psi = random_state(4, 12)
         for q in range(10):
-            net = with_all_pairs(build_batch(kind, 4, [psi]))
+            net = with_all_pairs(Network(4, distribution(4), [psi]))
             before = [net.label_at(i) for i in range(10)]
             net.local_measure(_owner(net, before[q]), before[q], COMP, 0)
             after = [net.label_at(i) for i in range(9)]
@@ -502,9 +527,9 @@ class TestDiscard:
 
     def test_measuring_down_to_one_qubit_stays_normalized(self, rng):
         for _ in range(10):
-            kind = KINDS[int(rng.integers(2))]
+            distribution = DISTRIBUTIONS[int(rng.integers(2))]
             n = int(rng.integers(2, 5))
-            net = with_all_pairs(build_batch(kind, n, [random_state(n, rng)]))
+            net = with_all_pairs(Network(n, distribution(n), [random_state(n, rng)]))
             for size in range(3 * n - 2, 1, -1):
                 q = int(rng.integers(size))
                 basis, born = (
@@ -525,9 +550,9 @@ class TestDiscard:
 
     def test_measurements_by_different_parties_commute(self, rng):
         for _ in range(10):
-            kind = KINDS[int(rng.integers(2))]
+            distribution = DISTRIBUTIONS[int(rng.integers(2))]
             psi = random_state(3, rng)
-            net = with_all_pairs(build_batch(kind, 3, [psi]))
+            net = with_all_pairs(Network(3, distribution(3), [psi]))
             a, b = rng.choice(7, size=2, replace=False)
             label_a, label_b = net.label_at(a), net.label_at(b)
             if _owner(net, label_a) == _owner(net, label_b):
@@ -539,7 +564,7 @@ class TestDiscard:
                 (label_b, basis_b),
                 (label_a, basis_a),
             ):
-                net = with_all_pairs(build_batch(kind, 3, [psi]))
+                net = with_all_pairs(Network(3, distribution(3), [psi]))
                 joint = 1.0
                 for label, basis in order:
                     joint *= net.local_measure(_owner(net, label), label, basis, 0)
@@ -551,42 +576,42 @@ class TestDiscard:
 
 class TestClassicalBus:
     def test_single_send_costs_one_cbit(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         net.send_cbit(1, 2, 1, "m")
         assert net.ledger.cbits == 1
 
     def test_broadcast_costs_per_recipient(self):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 9)])
+        net = Network(3, path(3), [random_state(3, 9)])
         net.send_cbit(3, 1, 0, "h")
         net.send_cbit(3, 2, 0, "h")
         assert net.ledger.cbits == 2
 
     def test_recipient_reads_nonrecipient_cannot(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         net.send_cbit(1, 3, 1, "m")
         assert net.read_cbit(3, "m") == 1
         with pytest.raises(MissingMessage):
             net.read_cbit(2, "m")
 
     def test_read_before_send_is_a_protocol_bug(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         with pytest.raises(MissingMessage):
             net.read_cbit(2, "never-sent")
 
     def test_read_does_not_consume(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         net.send_cbit(1, 3, 1, "m")
         assert net.read_cbit(3, "m") == 1
         assert net.read_cbit(3, "m") == 1
 
     def test_self_send_rejected(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         with pytest.raises(ValueError):
             net.send_cbit(2, 2, 0, "m")
 
     @pytest.mark.parametrize("bit", [2, -1, True, 1.0, 1.5, "1", None, np.float64(1)])
     def test_non_binary_bit_rejected(self, bit):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         with pytest.raises(ValueError, match="integer 0 or 1"):
             net.send_cbit(1, 2, bit, "m")
         assert net.ledger.cbits == 0
@@ -594,12 +619,12 @@ class TestClassicalBus:
             net.read_cbit(2, "m")
 
     def test_numpy_integer_bits_are_bits(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         net.send_cbit(1, 2, np.int64(1), "m")
         assert net.read_cbit(2, "m") == 1 and net.ledger.cbits == 1
 
     def test_a_repeated_tag_reads_the_first_bit_and_costs_both(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         net.send_cbit(1, 3, 0, "m")
         net.send_cbit(2, 3, 1, "m")
         assert net.read_cbit(3, "m") == 0
@@ -611,7 +636,7 @@ class TestClassicalBus:
         ids=["bad-bit", "unknown-recipient", "unknown-sender", "self-send", "unmeasured"],
     )
     def test_a_refused_send_delivers_nothing_and_costs_nothing(self, sender, recipient, bit):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 9)])
+        net = Network(3, star(3), [random_state(3, 9)])
         with pytest.raises(ValueError):
             net.send_cbit(sender, recipient, bit, "m")
         assert net.ledger.cbits == 0
@@ -620,7 +645,7 @@ class TestClassicalBus:
                 net.read_cbit(party, "m")
 
     def test_cbits_monotone_and_ebits_frozen(self):
-        net = build_batch(TopologyKind.SERIES, 4, [random_state(4, 10)])
+        net = Network(4, path(4), [random_state(4, 10)])
         seen = [net.ledger.cbits]
         for step, (src, dst) in enumerate([(1, 2), (2, 3), (3, 4), (4, 1)]):
             net.send_cbit(src, dst, step % 2, f"t{step}")
@@ -660,8 +685,8 @@ class TestRefusals:
     @pytest.mark.parametrize("op, error", REFUSED)
     def test_a_refused_operation_leaves_the_network(self, op, error):
         for net in (
-            build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)]),
-            with_all_pairs(build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])),
+            Network(2, path(2), [random_state(2, 13)]),
+            with_all_pairs(Network(2, path(2), [random_state(2, 13)])),
         ):
             net.send_cbit(2, 1, 1, "r2")
             before = (net.register.copy(), _live(net), net.ledger.copy())
@@ -676,7 +701,7 @@ class TestRefusals:
         # Party 2 of a series n = 3 batch, after an open outcome: r2 is live
         # and f2 is pending.
         swap = Gate(2, np.eye(4)[[0, 2, 1, 3]], "SWAP")
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 14), random_state(3, 15)])
+        net = Network(3, path(3), [random_state(3, 14), random_state(3, 15)])
         net.local_measure(1, "f1", HAD, Unforced(0))
         net.send_cbit(1, 2, Unforced(0), "f1")
 
@@ -694,7 +719,7 @@ class TestRefusals:
             assert snapshot() == before
 
     def test_a_measured_label_is_held_by_no_party(self):
-        net = build_batch(TopologyKind.SERIES, 2, [random_state(2, 13)])
+        net = Network(2, path(2), [random_state(2, 13)])
         net.local_measure(1, "f1", COMP, 0)
         before = net.register.copy()
         for party in _parties(net):
@@ -710,9 +735,9 @@ class TestIndependentNetworks:
     def test_networks_from_one_input_share_no_state(self):
         psi = random_state(3, 11)
         before = psi.amplitudes.copy()
-        net = with_all_pairs(build_batch(TopologyKind.SERIES, 3, [psi]))
+        net = with_all_pairs(Network(3, path(3), [psi]))
         register = net.register.copy()
-        other = build_batch(TopologyKind.SERIES, 3, [psi])
+        other = Network(3, path(3), [psi])
         other.local_apply(1, CX, ["d1", "f1"])
         other.local_measure(1, "f1", COMP, 0)
         other.send_cbit(1, 2, 0, "f1")
@@ -725,7 +750,7 @@ class TestIndependentNetworks:
         np.testing.assert_array_equal(psi.amplitudes, before)
 
     def test_register_view_is_read_only(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 11)])
+        net = Network(3, star(3), [random_state(3, 11)])
         state = net.state
         with pytest.raises(ValueError):
             net.register[0, 0] = 1.0

@@ -9,13 +9,12 @@ from telegate import (
     InvolutionRequired,
     LocalityViolation,
     MeasurementBasis,
+    Network,
     ProtocolFamily,
     ProtocolSpec,
     StateVector,
-    TopologyKind,
     TopologyMismatch,
     basis_state,
-    build_batch,
     controlled,
     fidelity_up_to_phase,
     hadamard,
@@ -31,6 +30,7 @@ from telegate import (
     verify_inputs,
 )
 from telegate.cli import record_trace
+from telegate.network import BellEdge
 from telegate.protocols import LocalGate, Measure, _interpret
 from telegate.gates import Gate
 from conftest import single_qubit_purity
@@ -46,6 +46,8 @@ from reference_states import (
     series_ncu_after_target,
     series_ncu_final,
     series_ncu_relay_state,
+    star,
+    path,
 )
 
 COMP = MeasurementBasis.COMPUTATIONAL
@@ -164,13 +166,13 @@ class TestSpecValidation:
     def test_series_ch_requires_involution(self):
         # a valid spec, refused when it is run
         spec = ProtocolSpec(SERIES_CH, 3, random_unitary(5))
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
+        net = Network(3, path(3), [random_state(3, 5)])
         with pytest.raises(InvolutionRequired, match="'randU:5' is not an involution"):
             run_protocol(spec, net, None)
 
     def test_involution_check_can_be_bypassed(self):
         spec = ProtocolSpec(SERIES_CH, 3, random_unitary(5))
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 5)])
+        net = Network(3, path(3), [random_state(3, 5)])
         run_protocol(spec, net, None, enforce_involution=False)
         assert net.probabilities.shape == (16,)
 
@@ -205,7 +207,7 @@ def _stage_state(net):
 
 
 def _drive_parallel_to_target_ops(d, payload, m_a, m_b):
-    net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
+    net = Network(3, star(3), [StateVector(3, d)])
     cu = controlled(payload)
     net.local_apply(1, CX, ["d1", "e1"])
     net.local_apply(2, CX, ["d2", "e2"])
@@ -238,14 +240,14 @@ class TestParallelProtocol:
         payload = random_unitary(13)
         expected = parallel_final(d, payload.matrix)
         for branch in _branches(3):
-            net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
+            net = Network(3, star(3), [StateVector(3, d)])
             out = run_protocol(ProtocolSpec(PARALLEL, net.n, payload), net, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 4)
 
     def test_both_controls_set_applies_payload_twice(self):
         payload = random_unitary(14)
-        net = build_batch(TopologyKind.PARALLEL, 3, [basis_state(3, "110")])
+        net = Network(3, star(3), [basis_state(3, "110")])
         out = run_protocol(ProtocolSpec(PARALLEL, net.n, payload), net, (0, 1, 1, 0))
         expected = np.zeros(8, dtype=complex)
         squared = payload.matrix @ payload.matrix
@@ -254,7 +256,7 @@ class TestParallelProtocol:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
 
     def test_single_control_applies_hadamard_once(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [basis_state(3, "010")])
+        net = Network(3, star(3), [basis_state(3, "010")])
         out = run_protocol(ProtocolSpec(PARALLEL, net.n, hadamard()), net, (1, 1, 0, 1))
         expected = np.zeros(8, dtype=complex)
         expected[0b010] = 1 / np.sqrt(2)
@@ -264,7 +266,7 @@ class TestParallelProtocol:
     def test_identity_payload_is_a_noop(self):
         d = random_coefficients(15)
         for branch in _branches(3):
-            net = build_batch(TopologyKind.PARALLEL, 3, [StateVector(3, d)])
+            net = Network(3, star(3), [StateVector(3, d)])
             out = run_protocol(ProtocolSpec(PARALLEL, net.n, identity()), net, branch)
             np.testing.assert_allclose(out.amplitudes, d, atol=1e-10)
 
@@ -288,7 +290,7 @@ class TestParallelProtocol:
 
 
 def _drive_series_forward(d, m2):
-    net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
+    net = Network(3, path(3), [StateVector(3, d)])
     net.local_apply(1, CX, ["d1", "f1"])
     net.local_measure(1, "f1", COMP, m2)
     net.send_cbit(1, 2, m2, "f1")
@@ -333,7 +335,7 @@ class TestSeriesSimultaneousCH:
         payload = random_involution(23)
         expected = series_ch_final(d, payload.matrix)
         for branch in _branches(3):
-            net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
+            net = Network(3, path(3), [StateVector(3, d)])
             out = run_protocol(ProtocolSpec(SERIES_CH, net.n, payload), net, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 5)
@@ -363,12 +365,12 @@ class TestSeriesSimultaneousCH:
         # both controls set: the involution fires twice and cancels;
         # exactly one control set: it fires once
         for branch in [(0, 0, 0, 0), (1, 0, 1, 1)]:
-            net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, "110")])
+            net = Network(3, path(3), [basis_state(3, "110")])
             out = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, branch)
             np.testing.assert_allclose(
                 out.amplitudes, basis_state(3, "110").amplitudes, atol=1e-10
             )
-            net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, "010")])
+            net = Network(3, path(3), [basis_state(3, "010")])
             out = run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, branch)
             expected = np.zeros(8, dtype=complex)
             expected[0b010] = 1 / np.sqrt(2)
@@ -377,17 +379,17 @@ class TestSeriesSimultaneousCH:
 
     def test_four_party_costs(self):
         payload = random_involution(25)
-        net = build_batch(TopologyKind.SERIES, 4, [random_state(4, 25)])
+        net = Network(4, path(4), [random_state(4, 25)])
         run_protocol(ProtocolSpec(SERIES_CH, net.n, payload), net, (0,) * 6)
         assert (net.ledger.ebits, net.ledger.cbits) == (3, 9)
 
     def test_non_involutory_payload_rejected(self):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 26)])
+        net = Network(3, path(3), [random_state(3, 26)])
         with pytest.raises(InvolutionRequired):
             run_protocol(ProtocolSpec(SERIES_CH, net.n, random_unitary(26)), net, (0, 0, 0, 0))
 
     def test_bypass_flag_allows_the_run(self):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 26)])
+        net = Network(3, path(3), [random_state(3, 26)])
         spec = ProtocolSpec(SERIES_CH, net.n, random_unitary(26))
         out = run_protocol(spec, net, (0, 0, 0, 0), enforce_involution=False)
         assert out.num_qubits == 3
@@ -464,7 +466,7 @@ class TestSeriesNControlledU:
         payload = random_unitary(34)
         expected = series_ncu_final(d, payload.matrix)
         for branch in _branches(3):
-            net = build_batch(TopologyKind.SERIES, 3, [StateVector(3, d)])
+            net = Network(3, path(3), [StateVector(3, d)])
             out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, payload), net, branch)
             np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-10)
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 4)
@@ -474,7 +476,7 @@ class TestSeriesNControlledU:
         toffoli[6:, 6:] = np.array([[0, 1], [1, 0]])
         for idx in range(8):
             bits = format(idx, "03b")
-            net = build_batch(TopologyKind.SERIES, 3, [basis_state(3, bits)])
+            net = Network(3, path(3), [basis_state(3, bits)])
             out = run_protocol(ProtocolSpec(SERIES_NCU, net.n, pauli_x()), net, (0, 1, 1, 0))
             np.testing.assert_allclose(out.amplitudes, toffoli[:, idx], atol=1e-10)
 
@@ -578,15 +580,12 @@ class TestEntanglementPreservation:
 class TestSpecNetwork:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_each_call_builds_a_fresh_network_of_the_family_topology(self, family):
-        # parallel-cu shares its Bell pairs from the target; both series
-        # families relay them along the chain
-        kind = TopologyKind.PARALLEL if family is PARALLEL else TopologyKind.SERIES
         spec = ProtocolSpec(family, 3, _payload_for(family))
         inputs = [random_state(3, 73), random_state(3, 74)]
         rows = np.array([state.amplitudes for state in inputs])
         first, second = spec.network(inputs), spec.network(inputs)
         for net in (first, second):
-            assert (net.topology.kind, net.n) == (kind, 3)
+            assert net.n == 3
             np.testing.assert_array_equal(net.register, rows)
             # the n - 1 Bell pairs are booked up front; no bit is sent yet
             assert (net.ledger.ebits, net.ledger.cbits) == (2, 0)
@@ -595,38 +594,53 @@ class TestSpecNetwork:
         np.testing.assert_array_equal(second.register, rows)
         np.testing.assert_array_equal([state.amplitudes for state in inputs], rows)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_each_family_runs_on_the_papers_distribution(self, family):
+        # parallel-cu shares its Bell pairs from the target; both series
+        # families relay them along the path
+        distribution = star if family is PARALLEL else path
+        for n in range(2, 9):
+            spec = ProtocolSpec(family, n, _payload_for(family))
+            assert spec.network([random_state(n, n)]).bell_pairs == distribution(n)
+
 
 class TestRunErrors:
     def test_parallel_runner_rejects_series_network(self):
-        net = build_batch(TopologyKind.SERIES, 3, [random_state(3, 71)])
+        net = Network(3, path(3), [random_state(3, 71)])
         with pytest.raises(TopologyMismatch):
             run_protocol(ProtocolSpec(PARALLEL, net.n, random_unitary(71)), net, (0, 0, 0, 0))
 
     def test_series_runners_reject_parallel_network(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 71)])
+        net = Network(3, star(3), [random_state(3, 71)])
         with pytest.raises(TopologyMismatch):
             run_protocol(ProtocolSpec(SERIES_NCU, net.n, random_unitary(71)), net, (0, 0, 0, 0))
         with pytest.raises(TopologyMismatch):
             run_protocol(ProtocolSpec(SERIES_CH, net.n, hadamard()), net, (0, 0, 0, 0))
 
+    def test_a_network_with_a_pair_the_family_does_not_declare_is_refused(self):
+        spare = BellEdge(1, "s1", 2, "s2")
+        net = Network(3, star(3) + (spare,), [random_state(3, 71)])
+        with pytest.raises(TopologyMismatch):
+            run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(71)), net, (0,) * 4)
+
     def test_spec_and_network_must_agree_on_n(self):
-        net = build_batch(TopologyKind.PARALLEL, 4, [random_state(4, 71)])
+        net = Network(4, star(4), [random_state(4, 71)])
         with pytest.raises(TopologyMismatch):
             run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(71)), net, (0,) * 4)
 
     def test_branch_length_checked(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
+        net = Network(3, star(3), [random_state(3, 72)])
         with pytest.raises(ValueError):
             run_protocol(ProtocolSpec(PARALLEL, net.n, random_unitary(72)), net, (0, 0))
 
     def test_branch_bits_checked(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
+        net = Network(3, star(3), [random_state(3, 72)])
         with pytest.raises(ValueError):
             run_protocol(ProtocolSpec(PARALLEL, net.n, random_unitary(72)), net, (0, 0, 2, 0))
 
     @pytest.mark.parametrize("bit", [True, 1.0, np.float64(1), "1", None])
     def test_branch_bits_must_be_integers(self, bit):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 72)])
+        net = Network(3, star(3), [random_state(3, 72)])
         before = net.register.copy()
         with pytest.raises(ValueError, match="integer outcome bits"):
             run_protocol(ProtocolSpec(PARALLEL, 3, random_unitary(72)), net, [bit, 0, 0, 0])
@@ -639,12 +653,12 @@ class TestRunErrors:
     def test_an_op_on_a_measured_label_is_a_locality_violation(self, late):
         # a transcription bug that names e1 after party 1 has measured it
         spec = ProtocolSpec(PARALLEL, 3, hadamard())
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 74)])
+        net = Network(3, star(3), [random_state(3, 74)])
         with pytest.raises(LocalityViolation, match="'e1'"):
             _interpret([*spec.ops, late], net, [0] * 5)
 
     def test_non_unitary_payload_rejected(self):
-        net = build_batch(TopologyKind.PARALLEL, 3, [random_state(3, 73)])
+        net = Network(3, star(3), [random_state(3, 73)])
         with pytest.raises(ValueError):
             spec = ProtocolSpec(PARALLEL, net.n, Gate(1, np.ones((2, 2)), "ones"))
             run_protocol(spec, net, (0,) * 4)

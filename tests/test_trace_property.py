@@ -24,7 +24,6 @@ from telegate import (
     ProtocolFamily,
     ProtocolSpec,
     StateVector,
-    build_batch,
     random_involution,
     random_state,
     random_unitary,

@@ -1,5 +1,6 @@
 """Branch enumeration, cost formulas, and the independent effect oracle."""
 
+import dataclasses
 import itertools
 import sys
 
@@ -29,7 +30,9 @@ from telegate import (
     verify_inputs,
     verify_protocol,
 )
+from telegate import protocols
 from telegate.gates import parse_gate_spec
+from telegate.network import BellEdge
 from telegate.protocols import _oracle_rows
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
@@ -119,6 +122,21 @@ class TestCosts:
         spec = ProtocolSpec(family, n, _payload_for(family, seed=8))
         branches = enumerate_branches(spec, random_state(n, 8))
         assert all(check_costs(spec, b.ledger) for b in branches)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_a_redundant_pair_fails_the_ebit_check_alone(self, family, monkeypatch):
+        # the ledger books one ebit per declared pair, so a pair no op uses
+        # fails the cost check while every branch stays exact
+        record = protocols._PROTOCOLS[family]
+        spare = BellEdge(1, "s1", 2, "s2")
+        redundant = dataclasses.replace(record, edges=lambda n: record.edges(n) + (spare,))
+        monkeypatch.setitem(protocols._PROTOCOLS, family, redundant)
+        spec = ProtocolSpec(family, 3, _payload_for(family))
+        report = verify_inputs(spec, [random_state(3, 9), basis_state(3, "101")])
+        assert report.cost_ok is False and report.passed is False
+        assert report.min_fidelity >= 1 - 1e-10 and report.probability_sums_ok
+        ledger = report.branches.ledger
+        assert (ledger.ebits, ledger.cbits) == (3, expected_costs(family, 3)[1])
 
 
 class TestVerifyProtocol:
