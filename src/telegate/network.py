@@ -69,7 +69,7 @@ from .gates import Gate, _Block, _block
 from .statevector import IMPOSSIBLE_CUTOFF, MeasurementBasis, StateVector, _check_targets
 
 # Largest register (n data qubits and two per Bell pair) any network may
-# allocate: 2^22 amplitudes, 64 MiB per input, so n <= 8 on n-1 pairs.
+# allocate: 2^22 amplitudes, 64 MiB per input; n <= 8 for a protocol's n-1 pairs.
 MAX_REGISTER_QUBITS = 22
 
 _SQRT_HALF = 1 / math.sqrt(2)
@@ -102,15 +102,17 @@ class CostLedger:
         return CostLedger(self.ebits, self.cbits)
 
 
-def register_qubits(n: int) -> int:
-    """Register size of an n-party protocol's network: n data qubits plus the
-    n-1 Bell pairs every family distributes."""
-    return 3 * n - 2
+def _check_party_count(n) -> None:
+    """Refuse an n that is not an integer (a bool is not one), then n < 2."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"need at least 2 parties, got n={n}")
 
 
 def check_register_size(n: int) -> None:
-    """Refuse, before anything is allocated, a register over the stated limit."""
-    qubits = register_qubits(n)
+    """Refuse, before any allocation, n data qubits and n-1 Bell pairs over the limit."""
+    qubits = 3 * n - 2
     if qubits > MAX_REGISTER_QUBITS:
         raise ValueError(
             f"n={n} needs a {qubits}-qubit register (2^{qubits + 4} bytes per input); "
@@ -295,10 +297,7 @@ class Network:
     """
 
     def __init__(self, n: int, edges: Sequence[BellEdge], inputs: Sequence[StateVector]):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if n < 2:
-            raise ValueError(f"need at least 2 parties, got n={n}")
+        _check_party_count(n)
         edges = tuple(edges)
         parties = range(1, n + 1)
         self._owner = {f"d{i}": i for i in parties}

@@ -1,8 +1,8 @@
 """The three teleportation protocol families and their ideal-effect oracle.
 
-What a family means is one record in ``_PROTOCOLS`` (see :class:`_Protocol`):
-running, scheduling, the oracle, the cost check and
-:meth:`ProtocolSpec.network` all read it.
+What a family means is one record in ``_PROTOCOLS`` (see :class:`_Protocol`).
+A :class:`ProtocolSpec` takes its Bell pairs and its op list from that
+record and owns them, and the oracle and the cost check read the record.
 
 Each protocol is one fixed list of operations, the same on every branch:
 :class:`LocalGate` (a party's gate, applied iff the XOR of the named inbox
@@ -16,8 +16,8 @@ outcomes are supplied up front so that the module above can enumerate all
 of them exhaustively; with no branch given, every outcome is left
 :class:`~telegate.network.Unforced` and one run on a batch covers all
 branches.  A :class:`ProtocolSpec` is checked when it is built and keeps its
-list once built, and :func:`measurement_schedule` reads that same list, so
-it refuses what a run refuses and cannot drift from it.
+list once built; :func:`measurement_schedule` and the batch order read that
+same list, so neither can drift from what a run runs.
 
 A forced branch runs the list in written order, which is the order of the
 events its trace renders from the list.  An unforced run takes a topological
@@ -44,7 +44,6 @@ Families
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,7 +54,7 @@ import numpy as np
 from .errors import InvolutionRequired, TopologyMismatch
 from .gates import Gate, controlled, pauli_x, pauli_z
 from .gates import validate as validate_gate
-from .network import BellEdge, Network, Unforced, _is_bit, check_register_size
+from .network import BellEdge, Network, Unforced, _check_party_count, _is_bit, check_register_size
 from .statevector import MeasurementBasis, StateVector, _apply_matrix
 
 _X = pauli_x()
@@ -94,15 +93,14 @@ class ProtocolSpec:
     n: int
     payload: Gate
     _involution: bool = field(default=False, init=False, repr=False, compare=False)
+    _pairs: tuple[BellEdge, ...] = field(default=(), init=False, repr=False, compare=False)
     _ops: tuple[Op, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _order: _Order | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, ProtocolFamily):
             raise ValueError(f"family must be a ProtocolFamily, got {self.family!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 parties, got n={self.n}")
+        _check_party_count(self.n)
         check_register_size(self.n)
         if self.payload.arity != 1:
             raise ValueError("payload must be a single-qubit gate")
@@ -110,6 +108,7 @@ class ProtocolSpec:
         if not flags.unitary:
             raise ValueError(f"payload {self.payload.label!r} is not unitary")
         object.__setattr__(self, "_involution", flags.involution)
+        object.__setattr__(self, "_pairs", _PROTOCOLS[self.family].edges(self.n))
 
     @property
     def num_measurements(self) -> int:
@@ -124,10 +123,17 @@ class ProtocolSpec:
             object.__setattr__(self, "_ops", tuple(ops))
         return self._ops
 
+    @property
+    def _batch(self) -> _Order:
+        """:func:`_batch_order` of :attr:`ops`, worked out on the first batch run and kept."""
+        if self._order is None:
+            object.__setattr__(self, "_order", _batch_order(self.ops, self._pairs))
+        return self._order
+
     def network(self, inputs: Sequence[StateVector]) -> Network:
-        """A fresh network on this family's Bell pairs holding ``inputs``, one
+        """A fresh network on this spec's Bell pairs holding ``inputs``, one
         register row each."""
-        return Network(self.n, _PROTOCOLS[self.family].edges(self.n), inputs)
+        return Network(self.n, self._pairs, inputs)
 
 
 def _require_involution(spec: ProtocolSpec) -> None:
@@ -164,16 +170,15 @@ class Measure:
 
 
 Op = LocalGate | Measure
+_Order = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@functools.cache
 def _star(n: int) -> tuple[BellEdge, ...]:
     """The parallel distribution: each control party i shares a Bell pair
     with the target, holding half ``e{i}`` while the target holds ``t{i}``."""
     return tuple(BellEdge(i, f"e{i}", n, f"t{i}") for i in range(1, n))
 
 
-@functools.cache
 def _path(n: int) -> tuple[BellEdge, ...]:
     """The series distribution: a path of Bell pairs ending at the target,
     party i holding half ``f{i}`` and party i+1 half ``r{i+1}``."""
@@ -293,29 +298,27 @@ def _touched(op: Op) -> tuple[str, ...]:
     return (op.qubit,) if isinstance(op, Measure) else op.qubits
 
 
-@functools.lru_cache(maxsize=None)
-def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The order a batch runs ``family``'s ops in.
+def _batch_order(ops: Sequence[Op], edges: Sequence[BellEdge]) -> _Order:
+    """The order a batch runs ``ops`` in on a network of the pairs ``edges``.
 
     Returns the op indices in run order, and the written index of each
-    measurement in run order.  The payload does not change the list's shape,
-    so this is worked out once per (family, n).
+    measurement in run order.  A tag that no earlier measurement wrote adds
+    no dependency: the network refuses the op that reads it with
+    :class:`~telegate.errors.MissingMessage`, as a forced run does.
     """
-    protocol = _PROTOCOLS[family]
-    ops = protocol.build(n, _CX)
-    pair = {}
-    for i, edge in enumerate(protocol.edges(n)):
-        pair[edge.label_a] = pair[edge.label_b] = i
+    pair = {label: i for i, edge in enumerate(edges) for label in (edge.label_a, edge.label_b)}
     successors: list[list[int]] = [[] for _ in ops]
     waiting = [0] * len(ops)
     last: dict[str, int] = {}
     measured_at: dict[str, int] = {}
+    written: dict[int, int] = {}
     for j, op in enumerate(ops):
         before = {last[q] for q in _touched(op) if q in last}
         if isinstance(op, LocalGate):
-            before |= {measured_at[tag] for tag in op.tags}
+            before |= {measured_at[tag] for tag in op.tags if tag in measured_at}
         else:
             measured_at[op.qubit] = j
+            written[j] = len(written)
         for i in before:
             successors[i].append(j)
         waiting[j] = len(before)
@@ -336,8 +339,7 @@ def _batch_order(family: ProtocolFamily, n: int) -> tuple[tuple[int, ...], tuple
             waiting[k] -= 1
             if not waiting[k]:
                 heapq.heappush(ready, key(k))
-    written = [j for j, op in enumerate(ops) if isinstance(op, Measure)]
-    return tuple(order), tuple(written.index(j) for j in order if isinstance(ops[j], Measure))
+    return tuple(order), tuple(written[j] for j in order if j in written)
 
 
 def measurement_schedule(spec: ProtocolSpec) -> list[tuple[int, str, MeasurementBasis]]:
@@ -396,18 +398,17 @@ def _checked_run(
     involution requirement and the branch, then run.  Returns what each
     measurement returned in written order: its conditional probability on
     one row given a branch."""
-    edges = _PROTOCOLS[spec.family].edges(spec.n)
-    if net.n != spec.n or net.bell_pairs != edges:
+    if net.n != spec.n or net.bell_pairs != spec._pairs:
         raise TopologyMismatch(
             f"{spec.family.value} n={spec.n} needs a network of {spec.n} parties on its "
-            f"{len(edges)} Bell pairs, got {net.n} parties on {len(net.bell_pairs)} pairs"
+            f"{len(spec._pairs)} Bell pairs, got {net.n} parties on {len(net.bell_pairs)} pairs"
         )
     if enforce_involution:
         _require_involution(spec)
     ops = spec.ops
     count = spec.num_measurements
     if branch is None:
-        order, written = _batch_order(spec.family, spec.n)
+        order, written = spec._batch
         _interpret([ops[j] for j in order], net, [Unforced(w) for w in written])
         return [None] * count
     branch = list(branch)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import CostLedger, register_qubits
+from .network import CostLedger
 from .protocols import (
     _PROTOCOLS,
     ProtocolFamily,
@@ -200,7 +200,7 @@ def verify_inputs(
     if not inputs:
         raise ValueError("need at least one input state")
     uniform = 2.0 ** -spec.num_measurements
-    per_pass = max(1, AMPLITUDE_BUDGET >> register_qubits(spec.n))
+    per_pass = max(1, AMPLITUDE_BUDGET >> (spec.n + 2 * len(spec._pairs)))
     min_fidelity = float("inf")
     max_deviation = 0.0
     cost_ok = True

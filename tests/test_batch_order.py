@@ -7,6 +7,7 @@ on the spec's own network, and its register must stay small until the pairs it n
 are in.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,21 +15,24 @@ import pytest
 
 from telegate import (
     MeasurementBasis,
+    MissingMessage,
     ProtocolFamily,
     ProtocolSpec,
     basis_state,
     brute_force_oracle,
     controlled,
+    hadamard,
     oracle_effect,
     pauli_x,
     random_involution,
     random_state,
     random_unitary,
     run_protocol,
+    verify_inputs,
 )
-from telegate import verify
+from telegate import protocols, verify
 from telegate.network import Network, Unforced
-from telegate.protocols import LocalGate, Measure, _batch_order, _interpret
+from telegate.protocols import LocalGate, Measure, _interpret
 from reference_states import star
 
 PARALLEL = ProtocolFamily.PARALLEL_SIMULTANEOUS_CU
@@ -84,8 +88,8 @@ def test_non_involutory_series_ch_matches_the_written_order_run(n):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_batch_order_is_a_topological_order(family, n):
-    ops = ProtocolSpec(family, n, random_unitary(0)).ops
-    order, written = _batch_order(family, n)
+    spec = ProtocolSpec(family, n, random_unitary(0))
+    ops, (order, written) = spec.ops, spec._batch
     assert sorted(order) == list(range(len(ops)))
     position = {j: p for p, j in enumerate(order)}
     measured_at = {op.qubit: j for j, op in enumerate(ops) if isinstance(op, Measure)}
@@ -226,3 +230,44 @@ def test_a_correction_after_an_unforced_run_reads_the_written_order_bit(family, 
         # X undoes itself, so every network is back as the run left it
         for net in [batch, *forced]:
             net.apply_if(party, x, [f"d{party}"], [tag])
+
+
+def _mutate(monkeypatch, family, edit):
+    """Make ``family``'s builder return ``edit`` of the list it built."""
+    record = protocols._PROTOCOLS[family]
+    mutant = dataclasses.replace(record, build=lambda n, cu: edit(record.build(n, cu)))
+    monkeypatch.setitem(protocols._PROTOCOLS, family, mutant)
+
+
+def test_a_correction_before_its_bit_is_refused_by_the_network(monkeypatch):
+    # the first X correction, LocalGate(3, X, ("t1",), ("e1",)), moved to the
+    # front reads a bit no earlier measurement wrote: batch and forced run
+    # both reach it and both raise MissingMessage
+    def moved(ops):
+        (first,) = [op for op in ops if isinstance(op, LocalGate) and op.tags == ("e1",)]
+        assert first.qubits == ("t1",) and first.party == 3
+        return [first] + [op for op in ops if op is not first]
+
+    _mutate(monkeypatch, PARALLEL, moved)
+    spec = ProtocolSpec(PARALLEL, 3, hadamard())
+    state = random_state(3, 390)
+    with pytest.raises(MissingMessage, match="'e1'"):
+        run_protocol(spec, spec.network([state]), None)
+    with pytest.raises(MissingMessage, match="'e1'"):
+        run_protocol(spec, spec.network([state]), [0] * spec.num_measurements)
+
+
+def test_a_mutant_verdict_does_not_depend_on_what_ran_before_it(monkeypatch):
+    # the unmutated spec runs first; the mutant then drops its last op, the
+    # phase fix on d2, and is scheduled from its own shorter list
+    state = random_state(3, 391)
+    assert verify_inputs(ProtocolSpec(PARALLEL, 3, hadamard()), [state]).passed
+
+    def dropped(ops):
+        assert ops[-1].qubits == ("d2",) and ops[-1].tags == ("t2",)
+        return ops[:-1]
+
+    _mutate(monkeypatch, PARALLEL, dropped)
+    report = verify_inputs(ProtocolSpec(PARALLEL, 3, hadamard()), [state])
+    assert report.passed is False
+    assert report.min_fidelity < 1 - 1e-3

@@ -1,6 +1,6 @@
-"""Specs own their op lists and gates own their I ⊕ b blocks: each is worked
-out once per object, however many other specs and gates are in use between
-two uses of it."""
+"""Specs own their op lists and batch orders and gates own their I ⊕ b
+blocks: each is worked out once per object, however many other specs and
+gates are in use between two uses of it."""
 
 import dataclasses
 from collections import Counter
@@ -35,8 +35,6 @@ def _specs(count):
 
 def test_each_spec_builds_its_op_list_once(monkeypatch):
     specs = _specs(12)
-    for family in FAMILIES:
-        protocols._batch_order(family, 3)  # keyed by (family, n), built before counting
     built = Counter()
     for family, record in list(protocols._PROTOCOLS.items()):
 
@@ -52,6 +50,29 @@ def test_each_spec_builds_its_op_list_once(monkeypatch):
         for spec in specs:
             assert verify_inputs(spec, [psi]).passed
     assert built == Counter({"C" + spec.payload.label: 1 for spec in specs})
+
+
+def test_each_spec_orders_its_batch_once_from_its_own_list(monkeypatch):
+    specs = _specs(12)
+    ordered = []
+    order = protocols._batch_order
+
+    def counted(ops, edges):
+        ordered.append(ops)
+        return order(ops, edges)
+
+    monkeypatch.setattr(protocols, "_batch_order", counted)
+    psi = random_state(3, 0)
+    for _ in range(2):
+        for spec in specs:
+            assert verify_inputs(spec, [psi]).passed
+    assert len(ordered) == len(specs)
+    assert all(ops is spec.ops for ops, spec in zip(ordered, specs))
+    # the payload does not change the list's shape, so specs that differ
+    # only in payload get equal orders
+    for family in FAMILIES:
+        orders = {spec._batch for spec in specs if spec.family is family}
+        assert len(orders) == 1, family
 
 
 def test_each_gate_is_classified_once(monkeypatch):
